@@ -337,6 +337,27 @@ mod tests {
     }
 
     #[test]
+    fn eval_hashes_are_pinned_to_the_fixed_prime_stream() {
+        // Recorded before the prime stream was memoized: equal values mean
+        // the memo hands out the same primes in the same order. The last two
+        // polynomials carry denominators equal to the first and second
+        // primes (2⁶² − 57, 2⁶² − 87), so they pin the rotation too.
+        for (poly, hash) in [
+            ("x^2 + 2*x*y + y^2", 0x17e3_1fce_816c_53bc_u64),
+            ("3*x^2*y - y^3 + 1/2", 0xb76e_def9_1931_775c),
+            ("7", 0x9686_dde2_b12c_c6ce),
+            ("c0*y0 + c1*y1 + c2*y2 + c3*y3", 0x8ddb_1fbd_4b42_23d5),
+            ("1/4611686018427387847*x + y", 0xb127_54d0_e4fd_2b1e),
+            (
+                "1/4611686018427387847*x + 1/4611686018427387817*y + z",
+                0x5d11_8716_ba26_1fd7,
+            ),
+        ] {
+            assert_eq!(fp(poly).eval_hash(), hash, "eval hash of {poly}");
+        }
+    }
+
+    #[test]
     fn signature_components_are_what_they_say() {
         let f = fp("3*x^2*y - y^3 + 1/2");
         assert_eq!(f.total_degree(), 3);

@@ -4,7 +4,10 @@
 //! multiplications and additions for sequential evaluation. The paper uses it
 //! both as a cost baseline (how cheaply could this polynomial be computed with
 //! plain MULs/ADDs?) and as one of the expression-tree manipulations that
-//! guide side-relation selection.
+//! guide side-relation selection. The mapper takes no guidance from it: the
+//! form is lossless, so [`HornerForm::expand`] returns exactly the input
+//! polynomial, and matching library elements against it is matching them
+//! against the target (the property tests below pin this).
 
 use std::fmt;
 
@@ -231,6 +234,7 @@ fn leaf(poly: &Poly) -> HornerForm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monomial::Monomial;
     use proptest::prelude::*;
 
     fn p(s: &str) -> Poly {
@@ -357,6 +361,51 @@ mod tests {
             let q = Poly::parse(&src).unwrap();
             let h = horner_form(&q, &[Var::new("x"), Var::new("y")]);
             prop_assert_eq!(h.expand(), q);
+        }
+
+        /// The invariant the mapper's candidate ordering relies on: the
+        /// automatic Horner form expands back to exactly its input, so it can
+        /// never match an element the target itself does not. Sparse,
+        /// mixed-degree terms over 3–6 variables with rational coefficients
+        /// (denominators 1–11).
+        #[test]
+        fn prop_horner_auto_expand_is_identity(
+            nvars in 3_usize..7,
+            terms in proptest::collection::vec(
+                (-40_i64..40, 1_i64..12, proptest::collection::vec(0_u32..4, 6..7)),
+                1..10,
+            ),
+        ) {
+            let pool: Vec<Var> = (0..nvars).map(|i| Var::new(&format!("hz{i}"))).collect();
+            let q = Poly::from_terms(terms.iter().map(|(num, den, exps)| {
+                let pairs: Vec<(Var, u32)> = pool.iter().copied().zip(exps.iter().copied()).collect();
+                (Monomial::from_pairs(&pairs), Rational::new(*num, *den))
+            }));
+            prop_assert_eq!(horner_form_auto(&q).expand(), q);
+        }
+
+        /// The same invariant on the shape of the MP3 IMDCT/synthesis
+        /// kernels: linear forms `Σ rᵢ·cᵢ·yᵢ` in coefficient and sample
+        /// variables with rational weights, some terms dropped, plus a
+        /// constant.
+        #[test]
+        fn prop_horner_auto_expand_is_identity_on_linear_forms(
+            taps in 3_usize..7,
+            weights in proptest::collection::vec((-36_i64..36, 1_i64..37), 6..7),
+            present in proptest::collection::vec(0_u32..3, 6..7),
+            constant in -5_i64..5,
+        ) {
+            let mut terms = vec![(Monomial::one(), Rational::new(constant, 7))];
+            for i in (0..taps).filter(|&i| present[i] > 0) {
+                let (num, den) = weights[i];
+                let pairs = [
+                    (Var::new(&format!("hc{i}")), 1),
+                    (Var::new(&format!("hy{i}")), present[i]),
+                ];
+                terms.push((Monomial::from_pairs(&pairs), Rational::new(num, den)));
+            }
+            let q = Poly::from_terms(terms);
+            prop_assert_eq!(horner_form_auto(&q).expand(), q);
         }
 
         #[test]

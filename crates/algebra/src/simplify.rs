@@ -15,9 +15,10 @@
 //! of the target works on the localized basis directly
 //! ([`crate::groebner::GroebnerBasis::reduce`]), so the cost scales with the
 //! ideal's 2–7 variables rather than the process-wide interner width. With
-//! [`simplify_modulo_cached`], side-relation sets that are α-equivalent —
-//! same shape under renamed variables, or reused across targets whose
-//! variable sets differ — additionally share one memoized Buchberger core.
+//! [`simplify_modulo_cached`] (or [`simplify_modulo_ordered`], its form for
+//! a prebuilt order), side-relation sets that are α-equivalent — same shape
+//! under renamed variables, or reused across targets whose variable sets
+//! differ — additionally share one memoized Buchberger core.
 
 use std::collections::BTreeMap;
 
@@ -171,13 +172,13 @@ pub fn simplify_modulo_detailed(
     var_order: &[&str],
     options: &GroebnerOptions,
 ) -> Result<Simplification, AlgebraError> {
-    simplify_impl(target, relations, var_order, options, None)
+    let order = listed_order(target, relations, var_order);
+    simplify_in_order(target, relations, &order, options, None)
 }
 
 /// Like [`simplify_modulo_detailed`], but looks the Gröbner basis up in (and
 /// stores it into) `cache`, so repeated simplifications against the same
-/// side-relation set and variable order compute the basis once. This is the
-/// entry point the mapper's branch-and-bound search uses.
+/// side-relation set and variable order compute the basis once.
 ///
 /// # Errors
 ///
@@ -189,13 +190,41 @@ pub fn simplify_modulo_cached(
     options: &GroebnerOptions,
     cache: &SharedGroebnerCache,
 ) -> Result<Simplification, AlgebraError> {
-    simplify_impl(target, relations, var_order, options, Some(cache))
+    let order = listed_order(target, relations, var_order);
+    simplify_modulo_ordered(target, relations, &order, options, cache)
 }
 
-fn simplify_impl(
+/// Like [`simplify_modulo_cached`], but under a monomial order the caller
+/// has already built — normally `MonomialOrder::Lex` of
+/// [`default_var_set`]. This is the entry point the mapper's
+/// branch-and-bound search uses: it builds the order from `Var`s once per
+/// node, with the target's variables computed once per job.
+///
+/// # Errors
+///
+/// Currently infallible for valid [`SideRelations`]; see [`simplify_modulo`].
+pub fn simplify_modulo_ordered(
     target: &Poly,
     relations: &SideRelations,
-    var_order: &[&str],
+    order: &MonomialOrder,
+    options: &GroebnerOptions,
+    cache: &SharedGroebnerCache,
+) -> Result<Simplification, AlgebraError> {
+    simplify_in_order(target, relations, order, options, Some(cache))
+}
+
+/// The lex order of a simplification with explicit precedence: the listed
+/// variables first, then the unlisted ones in [`default_var_set`] order.
+fn listed_order(target: &Poly, relations: &SideRelations, var_order: &[&str]) -> MonomialOrder {
+    MonomialOrder::Lex(
+        VarSet::from_names(var_order).union(&default_var_set(&target.vars(), relations)),
+    )
+}
+
+fn simplify_in_order(
+    target: &Poly,
+    relations: &SideRelations,
+    order: &MonomialOrder,
     options: &GroebnerOptions,
     cache: Option<&SharedGroebnerCache>,
 ) -> Result<Simplification, AlgebraError> {
@@ -206,13 +235,6 @@ fn simplify_impl(
             reductions: 0,
         });
     }
-    let mut vars = VarSet::from_names(var_order);
-    // Unlisted variables: program variables first, then symbols.
-    vars = vars.union(&target.vars());
-    vars = vars.union(&relations.body_vars());
-    vars = vars.union(&relations.symbols());
-
-    let order = MonomialOrder::Lex(vars);
     let generators = relations.generators();
     let (result, complete, reductions) = match cache {
         Some(cache) => {
@@ -222,15 +244,15 @@ fn simplify_impl(
             // and decides. A *certified* membership verdict came from the
             // resident exact basis, so the zero normal form is already
             // proven and re-reducing over ℚ would only reproduce it.
-            let verdict = cache.probe_membership_verdict(&generators, &order, options, target);
-            let gb = cache.basis(&generators, &order, options);
+            let verdict = cache.probe_membership_verdict(&generators, order, options, target);
+            let gb = cache.basis(&generators, order, options);
             match verdict {
                 Some(ProbeVerdict::Certified(true)) => (Poly::zero(), gb.complete, gb.reductions),
                 _ => (gb.reduce(target), gb.complete, gb.reductions),
             }
         }
         None => {
-            let gb = buchberger(&generators, &order, options);
+            let gb = buchberger(&generators, order, options);
             (gb.reduce(target), gb.complete, gb.reductions)
         }
     };
@@ -241,25 +263,32 @@ fn simplify_impl(
     })
 }
 
-/// Default variable order for a simplification: the target's own variables
-/// first (eliminated preferentially), then the relation symbols.
-pub fn default_var_order(target: &Poly, relations: &SideRelations) -> Vec<String> {
-    let mut names: Vec<String> = target
-        .vars()
-        .iter()
-        .chain(relations.body_vars().iter())
-        .map(|v| v.name().to_string())
-        .collect();
-    names.dedup();
-    let mut seen = std::collections::BTreeSet::new();
-    names.retain(|n| seen.insert(n.clone()));
-    for s in relations.symbols().iter() {
-        let n = s.name();
-        if !seen.contains(n) {
-            names.push(n.to_string());
+/// The default variable precedence of a simplification, as `Var`s: the
+/// target's variables first (eliminated preferentially), then the relation
+/// bodies' variables in relation order, then the relation symbols — each
+/// variable once, at its first position. `target_vars` is `target.vars()`;
+/// taking it as an argument lets a caller pricing many relation sets against
+/// one target compute it once.
+pub fn default_var_set(target_vars: &VarSet, relations: &SideRelations) -> VarSet {
+    let mut vars = target_vars.clone();
+    for (_, body) in relations.iter() {
+        for v in body.vars().iter() {
+            vars.push(v);
         }
     }
-    names
+    for (symbol, _) in relations.iter() {
+        vars.push(symbol);
+    }
+    vars
+}
+
+/// Default variable order for a simplification, by name: [`default_var_set`]
+/// of the target and relations.
+pub fn default_var_order(target: &Poly, relations: &SideRelations) -> Vec<String> {
+    default_var_set(&target.vars(), relations)
+        .iter()
+        .map(|v| v.name().to_string())
+        .collect()
 }
 
 #[cfg(test)]
@@ -365,6 +394,46 @@ mod tests {
         let pos_u = order.iter().position(|n| n == "u").unwrap();
         let pos_sym = order.iter().position(|n| n == "p_out").unwrap();
         assert!(pos_u < pos_sym);
+    }
+
+    #[test]
+    fn default_var_set_lists_each_variable_once_in_precedence_order() {
+        // The target already uses the symbol `s`, and both bodies share `y`:
+        // each variable appears once, at its first position.
+        let target = p("x*s + w");
+        let mut sr = SideRelations::new();
+        sr.push("s", p("x + y")).unwrap();
+        sr.push("t", p("y*z")).unwrap();
+        let tvars = target.vars();
+        let set = default_var_set(&tvars, &sr);
+        let mut expected = tvars.clone();
+        for v in ["x", "y", "z", "s", "t"] {
+            expected.push(Var::new(v));
+        }
+        assert_eq!(set, expected);
+        assert_eq!(set.len(), 6);
+        // The by-name order is the same list.
+        let names: Vec<&str> = set.iter().map(|v| v.name()).collect();
+        assert_eq!(default_var_order(&target, &sr), names);
+    }
+
+    #[test]
+    fn ordered_entry_point_matches_the_listed_order_entry_point() {
+        let cache = SharedGroebnerCache::new();
+        let opts = GroebnerOptions::default();
+        let mut sr = SideRelations::new();
+        sr.push("s", p("x + y")).unwrap();
+        sr.push("q", p("x*y")).unwrap();
+        let target = p("x^2 + 3*x*y + y^2 + z");
+        let names = default_var_order(&target, &sr);
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let listed = simplify_modulo_cached(&target, &sr, &refs, &opts, &cache).unwrap();
+        let order = MonomialOrder::Lex(default_var_set(&target.vars(), &sr));
+        let ordered = simplify_modulo_ordered(&target, &sr, &order, &opts, &cache).unwrap();
+        assert_eq!(ordered.result, listed.result);
+        assert_eq!(ordered.result, p("s^2 + q + z"));
+        // Same ideal, same order: the second call is a cache hit.
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

@@ -6,19 +6,22 @@
 //! it reduces the target modulo the chosen relations, prices the result
 //! (element invocations + residual software), and keeps the best solution with
 //! sufficient accuracy. Performance is the bounding function that prunes the
-//! tree, and the expression-tree manipulations (factorization, Horner form)
-//! guide which elements are tried first — exactly the roles the paper assigns
-//! them.
+//! tree, and guidance decides which elements are tried first: an element
+//! whose polynomial is a factor of the target, or the target itself, goes
+//! ahead of the rest. The paper also lists Horner form among the guiding
+//! manipulations, but as a match key it adds nothing: a Horner form expands
+//! back to exactly the target, so "matches the expanded Horner form" is the
+//! exact-target test again (see `DESIGN.md` §9).
 
 use std::sync::Arc;
 
 use symmap_algebra::factor::factor;
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::groebner::{GroebnerOptions, SharedGroebnerCache};
-use symmap_algebra::horner::horner_form_auto;
 use symmap_algebra::poly::Poly;
-use symmap_algebra::simplify::{default_var_order, simplify_modulo_cached, SideRelations};
+use symmap_algebra::simplify::{default_var_set, simplify_modulo_ordered, SideRelations};
 use symmap_algebra::var::VarSet;
+use symmap_algebra::MonomialOrder;
 use symmap_libchar::{Library, LibraryElement};
 use symmap_trace::{trace_event, trace_span};
 
@@ -40,8 +43,8 @@ pub struct MapperConfig {
     pub accuracy_tolerance: f64,
     /// Enable cost-based pruning (disable only for the ablation benches).
     pub use_bounding: bool,
-    /// Enable guidance of the candidate order by factorization/Horner
-    /// structure (disable only for the ablation benches).
+    /// Enable guidance of the candidate order by factor match and exact
+    /// target match (disable only for the ablation benches).
     pub use_guidance: bool,
     /// Whether residual (unmapped) arithmetic runs in software floating point
     /// (true for the original double-precision code) or fixed point.
@@ -77,6 +80,15 @@ impl Default for MapperConfig {
             engine: EngineConfig::default(),
         }
     }
+}
+
+/// Per-job invariants of the search, computed once in
+/// [`Mapper::map_polynomial`] rather than at every branch-and-bound node.
+struct JobTarget<'t> {
+    /// The polynomial being mapped.
+    poly: &'t Poly,
+    /// `poly.vars()`: the head of every node's variable order.
+    vars: VarSet,
 }
 
 /// The library mapper.
@@ -155,8 +167,12 @@ impl Mapper {
     /// [`CoreError::NoAccurateSolution`] when every candidate mapping violates
     /// the accuracy tolerance.
     pub fn map_polynomial(&self, target: &Poly) -> Result<MappingSolution, CoreError> {
+        let job = JobTarget {
+            poly: target,
+            vars: target.vars(),
+        };
         let tfp = PolyFingerprint::of(target);
-        let candidates = self.candidates(target, &tfp);
+        let candidates = self.candidates(&job, &tfp);
         if candidates.is_empty() {
             return Err(CoreError::NoCandidateElements {
                 target: target.to_string(),
@@ -171,7 +187,7 @@ impl Mapper {
         // function of (target, library, config), so every event below is
         // deterministic job-channel material.
         trace_span!(begin "mapper.search", candidates = ordered.len());
-        let explored = self.explore(target, &ordered, 0, &mut chosen, &mut best, &mut nodes);
+        let explored = self.explore(&job, &ordered, 0, &mut chosen, &mut best, &mut nodes);
         trace_span!(
             end "mapper.search",
             nodes = nodes,
@@ -198,7 +214,7 @@ impl Mapper {
     /// here: a low-degree target can still be mapped through higher-degree
     /// elements whose ideal cancels the excess (see `DESIGN.md` §9 for the
     /// counterexample), so support disjointness is the only sound filter.
-    fn candidates(&self, target: &Poly, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
+    fn candidates(&self, job: &JobTarget<'_>, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
         if self.config.use_fingerprint_index {
             let scan = self.library.candidates(tfp);
             // Deterministic per-job prune record (a pure function of target
@@ -220,17 +236,21 @@ impl Mapper {
             metrics.counter("index.kept").add(scan.stats.kept as u64);
             return scan.elements;
         }
-        let tvars = target.vars();
         self.library
             .iter()
-            .filter(|e| e.polynomial().vars().iter().any(|v| tvars.contains(v)))
+            .filter(|e| e.polynomial().vars().iter().any(|v| job.vars.contains(v)))
             .collect()
     }
 
-    /// Orders candidates using the symbolic-manipulation guidelines:
-    /// elements whose polynomial shows up as a factor of the target (or of
-    /// one of its Horner coefficients) are tried first; ties are broken by
-    /// ascending cost so cheaper alternatives are reached earlier.
+    /// Orders candidates using the symbolic-manipulation guidelines: an
+    /// element whose polynomial equals the target is tried first, then
+    /// elements whose polynomial is a factor of the target, then elements
+    /// covering more of the target's variables; ties are broken by ascending
+    /// cost so cheaper alternatives are reached earlier.
+    ///
+    /// There is no separate Horner key: `horner_form_auto(t).expand()` is `t`
+    /// by construction (Horner form is a lossless rewrite), so matching an
+    /// element against the expanded Horner form is exactly the target match.
     ///
     /// Fingerprints screen every exact polynomial comparison here: a
     /// `may_equal` miss proves inequality and a `shared_support_count` is the
@@ -253,9 +273,6 @@ impl Mapper {
             .iter()
             .map(|(f, _)| PolyFingerprint::of(f))
             .collect();
-        let horner = horner_form_auto(target);
-        let horner_expanded = horner.expand();
-        let horner_fp = PolyFingerprint::of(&horner_expanded);
         let score = |e: &LibraryElement| -> i64 {
             let efp = e.fingerprint();
             let mut s = 0_i64;
@@ -266,9 +283,7 @@ impl Mapper {
             {
                 s -= 1_000_000;
             }
-            if (tfp.may_equal(efp) && e.polynomial() == target)
-                || (horner_fp.may_equal(efp) && e.polynomial() == &horner_expanded)
-            {
+            if tfp.may_equal(efp) && e.polynomial() == target {
                 s -= 2_000_000;
             }
             // Elements covering more of the target's variables first.
@@ -282,7 +297,7 @@ impl Mapper {
     #[allow(clippy::too_many_arguments)]
     fn explore<'a>(
         &self,
-        target: &Poly,
+        job: &JobTarget<'_>,
         candidates: &[&'a LibraryElement],
         start: usize,
         chosen: &mut Vec<&'a LibraryElement>,
@@ -294,7 +309,7 @@ impl Mapper {
         }
         *nodes += 1;
 
-        let solution = self.evaluate(target, chosen)?;
+        let solution = self.evaluate(job, chosen)?;
         let chosen_element_cost: u64 = solution
             .used_elements
             .iter()
@@ -349,7 +364,7 @@ impl Mapper {
                 continue;
             }
             chosen.push(candidate);
-            self.explore(target, candidates, i + 1, chosen, best, nodes)?;
+            self.explore(job, candidates, i + 1, chosen, best, nodes)?;
             chosen.pop();
         }
         Ok(())
@@ -358,21 +373,21 @@ impl Mapper {
     /// Prices the mapping induced by a set of chosen elements.
     fn evaluate(
         &self,
-        target: &Poly,
+        job: &JobTarget<'_>,
         chosen: &[&LibraryElement],
     ) -> Result<MappingSolution, CoreError> {
+        let target = job.poly;
         let mut relations = SideRelations::new();
         for e in chosen {
             relations
                 .push(e.output_symbol(), e.polynomial().clone())
                 .map_err(CoreError::from)?;
         }
-        let order_names = default_var_order(target, &relations);
-        let order_refs: Vec<&str> = order_names.iter().map(String::as_str).collect();
-        let simplification = simplify_modulo_cached(
+        let order = MonomialOrder::Lex(default_var_set(&job.vars, &relations));
+        let simplification = simplify_modulo_ordered(
             target,
             &relations,
-            &order_refs,
+            &order,
             &self.config.groebner,
             &self.cache,
         )?;
@@ -380,8 +395,8 @@ impl Mapper {
 
         let symbols: VarSet = relations.symbols();
         let mut used_elements: Vec<(String, u32)> = Vec::new();
-        for e in chosen {
-            let sym = symmap_algebra::var::Var::new(e.output_symbol());
+        // `relations` holds one relation per chosen element, in order.
+        for (e, (sym, _)) in chosen.iter().zip(relations.iter()) {
             let occurrences: u32 = rewritten.iter().map(|(m, _)| m.degree_of(sym)).sum();
             if occurrences > 0 {
                 used_elements.push((e.name().to_string(), occurrences));

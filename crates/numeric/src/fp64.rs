@@ -17,7 +17,9 @@
 //!   modular prefilter rotates to the next prime when one turns out
 //!   *unlucky* for an ideal (it divides a leading coefficient or a
 //!   denominator), and the chosen prime must be a pure function of the ideal
-//!   so that cached bases are scheduling-independent.
+//!   so that cached bases are scheduling-independent. Because the stream is
+//!   a constant, its first 32 primes are found once per process and then
+//!   read from a memo.
 //! * [`is_prime`] — deterministic Miller–Rabin, valid for all `u64`.
 //!
 //! The `p < 2⁶²` bound is what makes the arithmetic branch-light: sums of
@@ -36,6 +38,8 @@
 //! assert_eq!(field.mul(a, b), field.one());
 //! ```
 
+use std::sync::OnceLock;
+
 /// First candidate tried by [`PrimeIterator`]: the largest odd number below
 /// 2⁶². The iterator walks downward, so the first prime it yields is the
 /// largest prime below 2⁶² (4611686018427387847 = 2⁶² − 57).
@@ -45,6 +49,13 @@ pub const PRIME_SEED: u64 = (1 << 62) - 1;
 /// (2⁶¹, 2⁶²), so every prime is a genuine 62-bit value and products of two
 /// residues stay comfortably inside `u128`.
 const PRIME_FLOOR: u64 = 1 << 61;
+
+/// How many leading primes of the [`PrimeIterator`] stream are memoized
+/// process-wide. Every consumer in the workspace stays inside this prefix:
+/// the fingerprint hash and the modular prefilter rotate through at most 16
+/// primes, and the multi-modular lift draws at most 16 images plus 16
+/// rotations.
+const PRIME_MEMO_LEN: usize = 32;
 
 /// A finite field ℤ/p for an odd prime `p < 2⁶²`, with Montgomery-form
 /// element representation.
@@ -287,15 +298,59 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
+/// The largest prime in the band at or below `candidate` (odd), or `None`
+/// once the walk passes [`PRIME_FLOOR`].
+fn prime_at_or_below(mut candidate: u64) -> Option<u64> {
+    while candidate > PRIME_FLOOR {
+        if is_prime(candidate) {
+            return Some(candidate);
+        }
+        candidate -= 2;
+    }
+    None
+}
+
+/// The first [`PRIME_MEMO_LEN`] primes of the stream, each found on first
+/// use. Slot `i` is a pure function of `i`, so racing initializers compute
+/// the same value and whichever the `OnceLock` keeps is the only one ever
+/// read.
+struct PrimeMemo {
+    slots: [OnceLock<u64>; PRIME_MEMO_LEN],
+}
+
+impl PrimeMemo {
+    const fn new() -> Self {
+        PrimeMemo {
+            slots: [const { OnceLock::new() }; PRIME_MEMO_LEN],
+        }
+    }
+
+    /// Prime `index` of the stream. `candidate` must be where the search for
+    /// it starts: [`PRIME_SEED`] for index 0, two below prime `index − 1`
+    /// otherwise.
+    fn prime(&self, index: usize, candidate: u64) -> u64 {
+        *self.slots[index].get_or_init(|| {
+            prime_at_or_below(candidate).expect("the band holds far more primes than the memo")
+        })
+    }
+}
+
+static PRIME_MEMO: PrimeMemo = PrimeMemo::new();
+
 /// A deterministic stream of 62-bit primes, largest first.
 ///
 /// Starts at [`PRIME_SEED`] and walks downward by 2, yielding every prime in
 /// the open band (2⁶¹, 2⁶²). The sequence is a fixed constant of the crate —
 /// the first three primes are `2⁶² − 57`, `2⁶² − 87`, `2⁶² − 117` — so any
 /// consumer that "rotates to the next prime" does so identically on every
-/// run and every thread.
+/// run and every thread. The first 32 primes come from a process-wide memo,
+/// so a fresh iterator's first `next()` is a load rather than a Miller–Rabin
+/// search.
 #[derive(Debug, Clone)]
 pub struct PrimeIterator {
+    /// Position in the stream: the number of primes yielded so far.
+    index: usize,
+    /// Where the search for the next prime starts.
     candidate: u64,
 }
 
@@ -303,6 +358,7 @@ impl PrimeIterator {
     /// A stream positioned at the seed candidate.
     pub fn new() -> Self {
         PrimeIterator {
+            index: 0,
             candidate: PRIME_SEED,
         }
     }
@@ -318,16 +374,16 @@ impl Iterator for PrimeIterator {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        while self.candidate > PRIME_FLOOR {
-            let c = self.candidate;
-            self.candidate -= 2;
-            if is_prime(c) {
-                return Some(c);
-            }
-        }
-        // ~5·10¹⁶ primes live in the band; exhaustion is unreachable in
-        // practice but the contract stays honest.
-        None
+        let p = if self.index < PRIME_MEMO_LEN {
+            PRIME_MEMO.prime(self.index, self.candidate)
+        } else {
+            // ~5·10¹⁶ primes live in the band; exhaustion is unreachable in
+            // practice but the contract stays honest.
+            prime_at_or_below(self.candidate)?
+        };
+        self.index += 1;
+        self.candidate = p - 2;
+        Some(p)
     }
 }
 
@@ -363,6 +419,76 @@ mod tests {
         }
         // A second iterator yields the identical stream.
         assert_eq!(PrimeIterator::new().take(3).collect::<Vec<_>>(), first);
+    }
+
+    /// The stream by plain Miller–Rabin search, never touching the memo.
+    fn searched_primes(n: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        let mut candidate = PRIME_SEED;
+        while out.len() < n {
+            if is_prime(candidate) {
+                out.push(candidate);
+            }
+            candidate -= 2;
+        }
+        out
+    }
+
+    #[test]
+    fn memoized_stream_matches_a_fresh_search_across_the_memo_boundary() {
+        let n = PRIME_MEMO_LEN + 8;
+        assert_eq!(
+            PrimeIterator::new().take(n).collect::<Vec<_>>(),
+            searched_primes(n)
+        );
+    }
+
+    #[test]
+    fn a_clone_taken_mid_stream_continues_identically() {
+        let reference = searched_primes(PRIME_MEMO_LEN + 8);
+        // Clone inside the memo, and just before the memo runs out so the
+        // continuation crosses into the searched tail.
+        for at in [5, PRIME_MEMO_LEN - 2] {
+            let mut original = PrimeIterator::new();
+            for p in &reference[..at] {
+                assert_eq!(original.next(), Some(*p));
+            }
+            let clone = original.clone();
+            let rest: Vec<u64> = original.take(8).collect();
+            assert_eq!(rest, reference[at..at + 8]);
+            assert_eq!(
+                clone.take(8).collect::<Vec<_>>(),
+                rest,
+                "clone taken at {at} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_first_use_of_a_fresh_memo_yields_one_sequence() {
+        use std::sync::{Arc, Barrier};
+        let memo = Arc::new(PrimeMemo::new());
+        let barrier = Arc::new(Barrier::new(4));
+        let walkers: Vec<_> = (0..4)
+            .map(|_| {
+                let (memo, barrier) = (Arc::clone(&memo), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let mut candidate = PRIME_SEED;
+                    (0..PRIME_MEMO_LEN)
+                        .map(|i| {
+                            let p = memo.prime(i, candidate);
+                            candidate = p - 2;
+                            p
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let expected = searched_primes(PRIME_MEMO_LEN);
+        for walker in walkers {
+            assert_eq!(walker.join().expect("walker panicked"), expected);
+        }
     }
 
     #[test]
