@@ -15,14 +15,17 @@
 //!   conversions with [`crate::poly::Poly`] are zero-copy term-vector moves (both types
 //!   share the descending-canonical-sort storage invariant), so the exact
 //!   path is byte-identical to the historic concrete implementation — the
-//!   seed-oracle differential tests in `groebner.rs` pin this down.
+//!   seed-oracle differential tests here and in `groebner.rs` pin this down.
 //! * [`symmap_numeric::Fp64`] instantiates it over ℤ/p (see
 //!   [`crate::modular`]), giving the mapper's prefilter a basis run whose
 //!   coefficients never leave one machine word.
 //!
-//! Every algorithm here mirrors its `Poly` counterpart operation for
-//! operation (same merge passes, same division-step selection, same
-//! tiebreaks), so the two instantiations differ only in scalar cost.
+//! Both instantiations run the same code, so they differ only in scalar
+//! cost. Against the concrete `Poly` algorithms the S-pair engine keeps the
+//! same merge passes, division-step selection and tiebreaks; the division
+//! loop *moves* a term no divisor divides onto the remainder instead of
+//! re-adding it (see [`normal_form_in`]), which does less arithmetic and
+//! produces the same bytes.
 
 use std::collections::HashSet;
 
@@ -150,24 +153,26 @@ impl<F: CoeffField> CPoly<F> {
 
     /// Leading term under `order` (linear scan, like `Poly::leading_term`).
     pub fn leading_term(&self, order: &MonomialOrder) -> Option<(Monomial, F::Elem)> {
-        let mut best: Option<&(Monomial, F::Elem)> = None;
-        for t in &self.terms {
-            best = match best {
-                None => Some(t),
-                Some(b) => {
-                    if order.cmp(&t.0, &b.0) == std::cmp::Ordering::Greater {
-                        Some(t)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        best.cloned()
+        self.leading_index(order).map(|i| self.terms[i].clone())
     }
 
-    /// Adds `c * m` in place (binary search into the sorted vector).
-    pub fn add_term(&mut self, field: &F, m: &Monomial, c: &F::Elem) {
+    /// Position of the leading term under `order` in the sorted term vector
+    /// (the same linear scan as [`CPoly::leading_term`], without the clone).
+    pub fn leading_index(&self, order: &MonomialOrder) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, (m, _)) in self.terms.iter().enumerate() {
+            best = match best {
+                Some(b) if order.cmp(m, &self.terms[b].0) != std::cmp::Ordering::Greater => Some(b),
+                _ => Some(i),
+            };
+        }
+        best
+    }
+
+    /// Adds `c * m` in place (binary search into the sorted vector). Only the
+    /// seed-oracle division loop still needs it.
+    #[cfg(test)]
+    fn add_term(&mut self, field: &F, m: &Monomial, c: &F::Elem) {
         if field.is_zero(c) {
             return;
         }
@@ -326,6 +331,13 @@ impl<F: CoeffField> DivisorView<F> for CPrepared<F> {
 /// path. `skip` excludes one divisor by index (auto-reduction). The divisor
 /// selected at every step is the first whose leading monomial divides the
 /// current leading term, identically to the historic concrete loop.
+///
+/// A leading term that no divisor divides is *moved* out of the dividend
+/// onto the remainder (no coefficient arithmetic), and the remainder is put
+/// into canonical order once at the end. That is byte-identical to the
+/// historic add-to-remainder/cancel-in-dividend step: leading monomials
+/// strictly decrease, and [`CPoly::sub_scaled`] only adds terms below the
+/// current lead, so a moved monomial never reappears in the dividend.
 pub fn normal_form_in<F: CoeffField, D: DivisorView<F>>(
     field: &F,
     mut p: CPoly<F>,
@@ -333,27 +345,35 @@ pub fn normal_form_in<F: CoeffField, D: DivisorView<F>>(
     order: &MonomialOrder,
     skip: Option<usize>,
 ) -> CPoly<F> {
-    let mut remainder = CPoly::zero();
-    while let Some((lm_p, lc_p)) = p.leading_term(order) {
+    let mut moved: Vec<(Monomial, F::Elem)> = Vec::new();
+    while let Some(lead) = p.leading_index(order) {
+        let (lm_p, lc_p) = &p.terms[lead];
         let t_mask = lm_p.var_mask();
-        let mut divided = false;
-        for (i, d) in divisors.iter().enumerate() {
+        let step = divisors.iter().enumerate().find_map(|(i, d)| {
             if skip == Some(i) || d.mask() & !t_mask != 0 {
-                continue;
+                return None;
             }
-            if let Some(m_quot) = lm_p.div(d.lm()) {
-                let c_quot = field.div(&lc_p, d.lc());
+            lm_p.div(d.lm()).map(|m_quot| (d, m_quot))
+        });
+        match step {
+            Some((d, m_quot)) => {
+                let c_quot = field.div(lc_p, d.lc());
                 p.sub_scaled(field, d.terms(), &m_quot, &c_quot);
-                divided = true;
-                break;
             }
-        }
-        if !divided {
-            remainder.add_term(field, &lm_p, &lc_p);
-            p.add_term(field, &lm_p, &field.neg(&lc_p));
+            None => {
+                let term = p.terms.remove(lead);
+                debug_assert!(
+                    moved.last().is_none_or(
+                        |(prev, _)| order.cmp(prev, &term.0) == std::cmp::Ordering::Greater
+                    ),
+                    "moved remainder monomials must strictly decrease under the order"
+                );
+                moved.push(term);
+            }
         }
     }
-    remainder
+    moved.sort_unstable_by(|(a, _), (b, _)| b.cmp(a));
+    CPoly { terms: moved }
 }
 
 /// A pending S-pair: basis indices, the cached lcm of the two leading
@@ -653,6 +673,92 @@ fn auto_reduce_in<F: CoeffField>(
 mod tests {
     use super::*;
     use crate::poly::Poly;
+    use crate::var::{Var, VarSet};
+    use proptest::prelude::*;
+    use symmap_numeric::Fp64;
+
+    /// The pre-move division loop, kept verbatim as the differential-testing
+    /// oracle: the leading term is cloned out every step, and a term no
+    /// divisor divides is added to the remainder and cancelled in the
+    /// dividend with a negated add.
+    fn seed_normal_form_in<F: CoeffField, D: DivisorView<F>>(
+        field: &F,
+        mut p: CPoly<F>,
+        divisors: &[D],
+        order: &MonomialOrder,
+        skip: Option<usize>,
+    ) -> CPoly<F> {
+        let mut remainder = CPoly::zero();
+        while let Some((lm_p, lc_p)) = p.leading_term(order) {
+            let t_mask = lm_p.var_mask();
+            let mut divided = false;
+            for (i, d) in divisors.iter().enumerate() {
+                if skip == Some(i) || d.mask() & !t_mask != 0 {
+                    continue;
+                }
+                if let Some(m_quot) = lm_p.div(d.lm()) {
+                    let c_quot = field.div(&lc_p, d.lc());
+                    p.sub_scaled(field, d.terms(), &m_quot, &c_quot);
+                    divided = true;
+                    break;
+                }
+            }
+            if !divided {
+                remainder.add_term(field, &lm_p, &lc_p);
+                p.add_term(field, &lm_p, &field.neg(&lc_p));
+            }
+        }
+        remainder
+    }
+
+    /// `(deg x, deg y, deg z, numerator, denominator)` of one random term.
+    type TermSpec = (u32, u32, u32, i64, i64);
+
+    fn spec_poly(terms: &[TermSpec], with_denominators: bool) -> Poly {
+        Poly::from_terms(terms.iter().map(|&(ex, ey, ez, n, d)| {
+            let monomial = Monomial::from_pairs(&[
+                (Var::new("x"), ex),
+                (Var::new("y"), ey),
+                (Var::new("z"), ez),
+            ]);
+            let d = if with_denominators { d } else { 1 };
+            (monomial, Rational::new(n, d))
+        }))
+    }
+
+    /// The image of an integer-coefficient polynomial in ℤ/p.
+    fn to_fp(field: &Fp64, p: &Poly) -> CPoly<Fp64> {
+        CPoly::from_sorted_terms(
+            p.sorted_terms()
+                .iter()
+                .map(|(m, c)| (m.clone(), field.from_i64(c.numer().to_i64().unwrap())))
+                .filter(|(_, k)| *k != 0)
+                .collect(),
+        )
+    }
+
+    fn all_orders() -> Vec<MonomialOrder> {
+        let vars = ["x", "y", "z"];
+        vec![
+            MonomialOrder::lex(&vars),
+            MonomialOrder::grlex(&vars),
+            MonomialOrder::grevlex(&vars),
+            MonomialOrder::Elimination(VarSet::from_names(&vars), 1),
+        ]
+    }
+
+    fn term_specs(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TermSpec>> {
+        proptest::collection::vec(
+            (
+                0u32..3,
+                0u32..3,
+                0u32..3,
+                -1000i64..1000,
+                (1i64 << 19)..(1i64 << 20),
+            ),
+            len,
+        )
+    }
 
     fn cp(s: &str) -> CPoly<RationalField> {
         CPoly::from_sorted_terms(Poly::parse(s).unwrap().sorted_terms().to_vec())
@@ -705,5 +811,101 @@ mod tests {
             None,
         );
         assert_eq!(back(generic), divide(&f, &divisors, &order).remainder);
+    }
+
+    #[test]
+    fn moved_remainder_matches_seed_loop_once_coefficients_go_big() {
+        // Denominators near 2^20: the first cancellations push the dividend's
+        // coefficients past the inline form, so the moved terms are `Big`.
+        let order = MonomialOrder::lex(&["x", "y", "z"]);
+        let f = Poly::parse(
+            "x^2*y/1048573 + 3*x*y^2/1048571 - 5*x*z/1048549 + y^2/786431 + 7*z/524287",
+        )
+        .unwrap();
+        let divisors: Vec<CPrepared<RationalField>> = [
+            "x*y/1048559 - 2*z/1048517 + 1/786433",
+            "x/1048433 + y*z/1048447 - 1/524309",
+        ]
+        .iter()
+        .filter_map(|s| CPrepared::new(cp(s), &order))
+        .collect();
+        let field = RationalField;
+        let input = CPoly::from_sorted_terms(f.sorted_terms().to_vec());
+        let moved = normal_form_in(&field, input.clone(), &divisors, &order, None);
+        assert!(
+            moved.terms().iter().any(|(_, c)| !c.is_small_repr()),
+            "workload never promoted a coefficient"
+        );
+        assert_eq!(
+            moved,
+            seed_normal_form_in(&field, input, &divisors, &order, None)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The move-based loop against the seed loop over ℚ: every order,
+        /// 1–3 divisors, with and without a skipped divisor, coefficients
+        /// with ~2^20 denominators.
+        #[test]
+        fn prop_rational_normal_form_matches_seed_loop(
+            dividend in term_specs(1..8),
+            divisors in proptest::collection::vec(term_specs(1..4), 1..4),
+            skip_at in 0usize..4,
+        ) {
+            // Index 3 never names a divisor: the unskipped run.
+            let skip = (skip_at < 3).then_some(skip_at);
+            let field = RationalField;
+            let f = spec_poly(&dividend, true);
+            for order in all_orders() {
+                let prepared: Vec<CPrepared<RationalField>> = divisors
+                    .iter()
+                    .filter_map(|d| {
+                        let g = spec_poly(d, true);
+                        CPrepared::new(CPoly::from_sorted_terms(g.sorted_terms().to_vec()), &order)
+                    })
+                    .collect();
+                let input = CPoly::from_sorted_terms(f.sorted_terms().to_vec());
+                prop_assert_eq!(
+                    normal_form_in(&field, input.clone(), &prepared, &order, skip),
+                    seed_normal_form_in(&field, input, &prepared, &order, skip),
+                    "order {:?}, skip {:?}",
+                    order,
+                    skip
+                );
+            }
+        }
+
+        /// The same differential over ℤ/p, with a tiny prime (frequent
+        /// cancellations) and a word-sized one.
+        #[test]
+        fn prop_fp_normal_form_matches_seed_loop(
+            dividend in term_specs(1..8),
+            divisors in proptest::collection::vec(term_specs(1..4), 1..4),
+            skip_at in 0usize..4,
+        ) {
+            // Index 3 never names a divisor: the unskipped run.
+            let skip = (skip_at < 3).then_some(skip_at);
+            let f = spec_poly(&dividend, false);
+            for prime in [7, 1_000_003] {
+                let field = Fp64::new(prime);
+                for order in all_orders() {
+                    let prepared: Vec<CPrepared<Fp64>> = divisors
+                        .iter()
+                        .filter_map(|d| CPrepared::new(to_fp(&field, &spec_poly(d, false)), &order))
+                        .collect();
+                    let input = to_fp(&field, &f);
+                    prop_assert_eq!(
+                        normal_form_in(&field, input.clone(), &prepared, &order, skip),
+                        seed_normal_form_in(&field, input, &prepared, &order, skip),
+                        "p {}, order {:?}, skip {:?}",
+                        prime,
+                        order,
+                        skip
+                    );
+                }
+            }
+        }
     }
 }

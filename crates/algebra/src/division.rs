@@ -143,14 +143,19 @@ pub fn divide(f: &Poly, divisors: &[Poly], order: &MonomialOrder) -> Division {
 /// preserves every order comparison and divisibility test. When the ring
 /// coincides with the interner prefix the conversion is skipped.
 ///
-/// [`divide`] itself stays in global coordinates (callers want the
-/// quotients against *their* divisor polynomials); remainder-only callers —
-/// the Gröbner engine, [`crate::groebner::GroebnerBasis::reduce`], the
-/// mapper — should come through here.
+/// Either way the division itself is [`prepared_normal_form`]'s loop (which
+/// picks the same divisor at every step as [`divide`]). [`divide`] stays in
+/// global coordinates as the quotient-producing oracle; remainder-only
+/// callers — the Gröbner engine, [`crate::groebner::GroebnerBasis::reduce`],
+/// the mapper — should come through here.
 pub fn normal_form(f: &Poly, divisors: &[Poly], order: &MonomialOrder) -> Poly {
     let ring = Ring::spanning(divisors.iter().chain(std::iter::once(f)));
     if ring.is_identity() {
-        return divide(f, divisors, order).remainder;
+        let prepared: Vec<PreparedDivisor> = divisors
+            .iter()
+            .filter_map(|g| PreparedDivisor::new(g.clone(), order))
+            .collect();
+        return prepared_normal_form(f.clone(), &prepared, order, None);
     }
     let lorder = order.localized(&ring);
     let prepared: Vec<PreparedDivisor> = divisors
@@ -158,7 +163,7 @@ pub fn normal_form(f: &Poly, divisors: &[Poly], order: &MonomialOrder) -> Poly {
         .filter_map(|g| PreparedDivisor::new(ring.localize_poly(g), &lorder))
         .collect();
     let lf = ring.localize_poly(f);
-    ring.globalize_poly(&prepared_normal_form(&lf, &prepared, &lorder, None))
+    ring.globalize_owned(prepared_normal_form(lf, &prepared, &lorder, None))
 }
 
 /// Normal form of `f` modulo already-prepared divisors — the Gröbner engine's
@@ -170,17 +175,18 @@ pub fn normal_form(f: &Poly, divisors: &[Poly], order: &MonomialOrder) -> Poly {
 /// skips divisors whose leading monomial provably cannot divide the current
 /// term), so the remainder is byte-identical to `divide(..).remainder`.
 ///
-/// Since PR 6 the loop itself lives in [`crate::coeff::normal_form_in`],
-/// shared with the ℤ/p fast path; this is its ℚ instantiation, reading the
-/// prepared divisors in place through [`DivisorView`] (no conversion) and
-/// moving the dividend's term vector in and out (no re-sort).
+/// The loop itself lives in [`crate::coeff::normal_form_in`], shared with
+/// the ℤ/p fast path; this is its ℚ instantiation, reading the prepared
+/// divisors in place through [`DivisorView`] (no conversion). The dividend is
+/// taken by value: callers reduce a freshly localized target, whose term
+/// vector moves into the loop and back out without a copy or a re-sort.
 pub fn prepared_normal_form(
-    f: &Poly,
+    f: Poly,
     divisors: &[PreparedDivisor],
     order: &MonomialOrder,
     skip: Option<usize>,
 ) -> Poly {
-    let p = CPoly::from_sorted_terms(f.sorted_terms().to_vec());
+    let p = CPoly::from_sorted_terms(f.into_sorted_terms());
     let r = normal_form_in(&RationalField, p, divisors, order, skip);
     Poly::from_sorted_terms_unchecked(r.into_terms())
 }
@@ -302,7 +308,7 @@ mod tests {
             .collect();
         assert_eq!(prepared.len(), 2, "zero divisors are dropped");
         assert_eq!(
-            prepared_normal_form(&f, &prepared, &order, None),
+            prepared_normal_form(f.clone(), &prepared, &order, None),
             divide(&f, &divisors, &order).remainder
         );
         assert_eq!(
@@ -321,12 +327,12 @@ mod tests {
         let f = p("x*y^2");
         // Skipping the first divisor reduces only modulo y^2 - 1.
         assert_eq!(
-            prepared_normal_form(&f, &prepared, &order, Some(0)),
+            prepared_normal_form(f.clone(), &prepared, &order, Some(0)),
             normal_form(&f, &[p("y^2 - 1")], &order)
         );
         // No skip uses both.
         assert_eq!(
-            prepared_normal_form(&f, &prepared, &order, None),
+            prepared_normal_form(f.clone(), &prepared, &order, None),
             normal_form(&f, &[p("x - y"), p("y^2 - 1")], &order)
         );
     }

@@ -189,16 +189,15 @@ impl GroebnerBasis {
     /// targets share the side relations' variables), the whole reduction
     /// runs in ring-local coordinates: divisors are prepared from the local
     /// basis, only the (small) remainder is globalized, and no wide global
-    /// exponent vector is ever built. A target with variables outside the
-    /// ring falls back to [`normal_form`], which spans a joint ring over
-    /// basis and target; both paths are byte-identical to global division.
+    /// exponent vector is ever built; the localized target moves into the
+    /// division loop, and an identity ring skips the globalize copy. A
+    /// target with variables outside the ring falls back to [`normal_form`],
+    /// which spans a joint ring over basis and target; both paths are
+    /// byte-identical to global division.
     pub fn reduce(&self, f: &Poly) -> Poly {
         let Some(ring) = &self.ring else {
             return normal_form(f, &self.local_polys, &self.order);
         };
-        if ring.is_identity() {
-            return normal_form(f, &self.local_polys, &self.order);
-        }
         match ring.try_localize_poly(f) {
             Some(lf) => {
                 let (lorder, prepared) = self.local_prepared.get_or_init(|| {
@@ -210,7 +209,12 @@ impl GroebnerBasis {
                         .collect();
                     (lorder, prepared)
                 });
-                ring.globalize_poly(&prepared_normal_form(&lf, prepared, lorder, None))
+                let r = prepared_normal_form(lf, prepared, lorder, None);
+                if ring.is_identity() {
+                    r
+                } else {
+                    ring.globalize_owned(r)
+                }
             }
             None => normal_form(f, self.polys(), &self.order),
         }
@@ -1273,7 +1277,7 @@ impl SharedGroebnerCache {
                 .iter()
                 .filter_map(|g| PreparedDivisor::new(g.clone(), &key.0))
                 .collect();
-            let nf = prepared_normal_form(&ltarget, &prepared, &key.0, None);
+            let nf = prepared_normal_form(ltarget, &prepared, &key.0, None);
             return if nf.is_zero() {
                 Some(ProbeVerdict::Certified(true))
             } else if core.complete {

@@ -199,6 +199,12 @@ impl Poly {
         &self.terms
     }
 
+    /// Moves the raw term vector out (the owned twin of
+    /// [`Poly::sorted_terms`]).
+    pub(crate) fn into_sorted_terms(self) -> Vec<Term> {
+        self.terms
+    }
+
     /// Parses a textual polynomial such as `"x^2 + 2*x*y - 3/2"`.
     ///
     /// The grammar accepts `+ - * ^ ( )`, integer and rational/decimal
@@ -583,18 +589,10 @@ impl Poly {
 
     /// Content: the gcd of all coefficient numerators divided by the lcm of
     /// denominators (positive), or zero for the zero polynomial.
+    /// Word-sized while every coefficient is inline; see
+    /// [`Rational::content_of`].
     pub fn content(&self) -> Rational {
-        use symmap_numeric::BigInt;
-        if self.is_zero() {
-            return Rational::zero();
-        }
-        let mut num_gcd = BigInt::zero();
-        let mut den_lcm = BigInt::one();
-        for (_, c) in self.iter() {
-            num_gcd = num_gcd.gcd(&c.numer());
-            den_lcm = den_lcm.lcm(&c.denom());
-        }
-        Rational::from_bigints(num_gcd, den_lcm)
+        Rational::content_of(self.terms.iter().map(|(_, c)| c))
     }
 
     /// Maps every coefficient through `f`, dropping terms that become zero.

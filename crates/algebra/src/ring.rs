@@ -213,6 +213,17 @@ impl Ring {
                 .collect(),
         )
     }
+
+    /// [`Ring::globalize_poly`] of an owned polynomial: the coefficients
+    /// move instead of being cloned.
+    pub(crate) fn globalize_owned(&self, p: Poly) -> Poly {
+        Poly::from_sorted_terms_unchecked(
+            p.into_sorted_terms()
+                .into_iter()
+                .map(|(m, c)| (self.globalize_monomial(&m), c))
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]

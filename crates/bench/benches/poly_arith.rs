@@ -55,6 +55,9 @@ fn workloads() -> Vec<Workload> {
     let (m1, m2) = mul_operands();
     let (f, divisors, order) = reduction_workload();
     let c = coeff_workload();
+    // The warm MP3 batch's hot reduction: one division step, then every
+    // remaining term moves to the remainder.
+    let (imdct, imdct_divisors, imdct_order) = symmap_bench::imdct_reduction_workload();
     vec![
         (
             "poly_arith/add",
@@ -72,6 +75,12 @@ fn workloads() -> Vec<Workload> {
             "poly_arith/normal_form",
             Box::new(move || {
                 black_box(normal_form(&f, &divisors, &order));
+            }),
+        ),
+        (
+            "poly_arith/reduce_imdct",
+            Box::new(move || {
+                black_box(normal_form(&imdct, &imdct_divisors, &imdct_order));
             }),
         ),
         (

@@ -21,6 +21,9 @@ pub mod quickbench;
 
 use std::sync::Arc;
 
+use symmap_algebra::ordering::MonomialOrder;
+use symmap_algebra::poly::Poly;
+use symmap_algebra::simplify::{default_var_set, SideRelations};
 use symmap_core::pipeline::{table6_libraries, CodeVersion, OptimizationPipeline};
 use symmap_engine::{EngineConfig, MapJob, MapperConfig, MappingEngine};
 use symmap_libchar::catalog;
@@ -77,42 +80,63 @@ pub fn table6_versions(badge: &Badge4, frames: usize) -> Vec<CodeVersion> {
 }
 
 /// The 11-kernel MP3 mapping batch: one [`MapJob`] per mapped decoder kernel
-/// line. The six identified stage kernels (dequantize, stereo, antialias,
-/// IMDCT line 0, hybrid, synthesis line 0 — exactly what
-/// `OptimizationPipeline::map_decoder` maps) plus further IMDCT lines 1–3
-/// and synthesis subbands 1–2, each a distinct 16/18-term linear form. This
-/// is the workload of the `engine_batch` bench and of the cross-worker
-/// determinism test.
+/// line (see [`mp3_kernel_targets`]). This is the workload of the
+/// `engine_batch` bench and of the cross-worker determinism test.
 pub fn mp3_kernel_jobs(library: &Arc<Library>, config: &MapperConfig) -> Vec<MapJob> {
-    let job = |label: String, poly| MapJob::new(label, poly, Arc::clone(library), config.clone());
-    let mut jobs = vec![
-        job(
+    mp3_kernel_targets()
+        .into_iter()
+        .map(|(label, poly)| MapJob::new(label, poly, Arc::clone(library), config.clone()))
+        .collect()
+}
+
+/// The 11 labelled MP3 kernel targets of [`mp3_kernel_jobs`]. The six
+/// identified stage kernels (dequantize, stereo, antialias, IMDCT line 0,
+/// hybrid, synthesis line 0 — exactly what
+/// `OptimizationPipeline::map_decoder` maps) plus further IMDCT lines 1–3
+/// and synthesis subbands 1–2, each a distinct 16/18-term linear form.
+pub fn mp3_kernel_targets() -> Vec<(String, Poly)> {
+    let mut targets = vec![
+        (
             "III_dequantize_sample".into(),
             catalog::dequantizer_polynomial(),
         ),
-        job("III_stereo".into(), catalog::stereo_polynomial()),
-        job("III_antialias".into(), catalog::antialias_polynomial()),
-        job("inv_mdctL".into(), imdct::imdct_polynomial(0, 36)),
-        job("III_hybrid".into(), catalog::hybrid_polynomial()),
-        job(
+        ("III_stereo".into(), catalog::stereo_polynomial()),
+        ("III_antialias".into(), catalog::antialias_polynomial()),
+        ("inv_mdctL".into(), imdct::imdct_polynomial(0, 36)),
+        ("III_hybrid".into(), catalog::hybrid_polynomial()),
+        (
             "SubBandSynthesis".into(),
             synthesis::synthesis_polynomial(0),
         ),
     ];
     for line in 1..=3 {
-        jobs.push(job(
+        targets.push((
             format!("inv_mdctL[{line}]"),
             imdct::imdct_polynomial(line, 36),
         ));
     }
     for subband in 1..=2 {
-        jobs.push(job(
+        targets.push((
             format!("SubBandSynthesis[{subband}]"),
             synthesis::synthesis_polynomial(subband),
         ));
     }
-    debug_assert_eq!(jobs.len(), 11);
-    jobs
+    debug_assert_eq!(targets.len(), 11);
+    targets
+}
+
+/// The hottest reduction shape of the warm MP3 batch: IMDCT output line 1
+/// reduced modulo the side relation of the IMDCT library element (body:
+/// line 0, output symbol `md`), under the lex order the mapper builds from
+/// [`default_var_set`]. Returns `(target, generators, order)`.
+pub fn imdct_reduction_workload() -> (Poly, Vec<Poly>, MonomialOrder) {
+    let target = imdct::imdct_polynomial(1, 36);
+    let mut relations = SideRelations::new();
+    relations
+        .push("md", imdct::imdct_polynomial(0, 36))
+        .expect("fresh output symbol");
+    let order = MonomialOrder::Lex(default_var_set(&target.vars(), &relations));
+    (target, relations.generators(), order)
 }
 
 /// Measures a single named version (used by the per-table benches).
@@ -138,6 +162,24 @@ mod tests {
         assert!(pipeline_for("Original", &badge, 1).is_some());
         assert!(pipeline_for("IH Library", &badge, 1).is_some());
         assert!(pipeline_for("No Such Version", &badge, 1).is_none());
+    }
+
+    #[test]
+    fn mp3_kernel_target_contents_match_bigint_accumulators() {
+        use symmap_numeric::{BigInt, Rational};
+        for (label, target) in mp3_kernel_targets() {
+            let mut num_gcd = BigInt::zero();
+            let mut den_lcm = BigInt::one();
+            for (_, c) in target.iter() {
+                num_gcd = num_gcd.gcd(&c.numer());
+                den_lcm = den_lcm.lcm(&c.denom());
+            }
+            assert_eq!(
+                target.content(),
+                Rational::from_bigints(num_gcd, den_lcm),
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! reduced Gröbner basis is a canonical object, so any divergence is a ring
 //! bug, never a matter of taste.
 
+use symmap_algebra::division::{divide, normal_form};
 use symmap_algebra::groebner::{buchberger, buchberger_unringed, GroebnerOptions};
 use symmap_algebra::ordering::MonomialOrder;
 use symmap_algebra::poly::Poly;
@@ -67,6 +68,23 @@ fn ring_local_reduce_matches_global_reduce_on_budget_ideals() {
             assert_eq!(gb.reduce(&probe), oracle.reduce(&probe), "{}", ideal.name);
         }
     }
+}
+
+#[test]
+fn imdct_line_reduction_matches_the_divide_oracle() {
+    // The warm MP3 batch's hot shape: IMDCT line 1 modulo the line-0
+    // element's generator. Every step past the first division moves a term
+    // to the remainder, so this pins the move-based loop to the quotient
+    // oracle on real coefficients.
+    let (target, generators, order) = symmap_bench::imdct_reduction_workload();
+    let expected = divide(&target, &generators, &order).remainder;
+    assert!(
+        expected.vars().contains(Var::new("md")),
+        "no division happened"
+    );
+    assert_eq!(normal_form(&target, &generators, &order), expected);
+    let gb = buchberger(&generators, &order, &GroebnerOptions::default());
+    assert_eq!(gb.reduce(&target), expected);
 }
 
 #[test]

@@ -398,15 +398,38 @@ impl BigInt {
     }
 
     /// Greatest common divisor (always non-negative).
+    ///
+    /// Euclid over limbs until both remainders fit four limbs, then the rest
+    /// of the chain runs in `u128`/`u64` registers — so a gcd of values that
+    /// are `Big` only in their product never allocates past the first step.
     pub fn gcd(&self, other: &BigInt) -> BigInt {
+        if let (Some(a), Some(b)) = (self.mag_u128(), other.mag_u128()) {
+            return BigInt::from(gcd_u128(a, b));
+        }
         let mut a = self.abs();
         let mut b = other.abs();
         while !b.is_zero() {
             let (_, r) = a.div_rem(&b);
             a = b;
             b = r;
+            if let (Some(x), Some(y)) = (a.mag_u128(), b.mag_u128()) {
+                return BigInt::from(gcd_u128(x, y));
+            }
         }
         a
+    }
+
+    /// The magnitude as a `u128`, when it fits four limbs.
+    fn mag_u128(&self) -> Option<u128> {
+        if self.limbs.len() > 4 {
+            return None;
+        }
+        Some(
+            self.limbs
+                .iter()
+                .enumerate()
+                .fold(0, |mag, (i, &l)| mag | (l as u128) << (32 * i)),
+        )
     }
 
     /// Extended Euclidean algorithm: returns `(g, x, y)` with
@@ -487,6 +510,30 @@ impl BigInt {
             r
         }
     }
+}
+
+/// Euclid over `u128` magnitudes, dropping to `u64` once both operands fit
+/// one word; `gcd_u128(0, x) == x`.
+pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        if let (Ok(x), Ok(y)) = (u64::try_from(a), u64::try_from(b)) {
+            return gcd_u64(x, y) as u128;
+        }
+        let r = a % b;
+        a = b;
+        b = r;
+    }
+    a
+}
+
+/// Euclid over `u64` magnitudes; `gcd_u64(0, x) == x`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        let r = a % b;
+        a = b;
+        b = r;
+    }
+    a
 }
 
 impl Default for BigInt {
@@ -879,6 +926,73 @@ mod tests {
         assert_eq!(a.gcd(&BigInt::from(-36_i64)).to_i64().unwrap(), 12);
     }
 
+    /// Plain limb Euclid — the gcd before the machine-word finish.
+    fn euclid_gcd(a: &BigInt, b: &BigInt) -> BigInt {
+        let (mut a, mut b) = (a.abs(), b.abs());
+        while !b.is_zero() {
+            let (_, r) = a.div_rem(&b);
+            a = b;
+            b = r;
+        }
+        a
+    }
+
+    /// A positive value from little-endian limbs (trailing zeros trimmed).
+    fn from_limbs(limbs: &[u32]) -> BigInt {
+        BigInt::from_limbs(Sign::Plus, limbs.to_vec())
+    }
+
+    /// `2^(32·k) + d`: straddles the `k`-limb boundary as `d` changes sign.
+    fn near_limb_boundary(k: u32, d: i64) -> BigInt {
+        &BigInt::from(2_i64).pow(32 * k) + &BigInt::from(d)
+    }
+
+    #[test]
+    fn gcd_matches_euclid_around_limb_boundaries() {
+        let mut values = vec![BigInt::zero(), BigInt::one(), BigInt::from(-7_i64)];
+        for k in [1, 2, 4, 5, 6] {
+            for d in [-3, -1, 0, 1, 3] {
+                values.push(near_limb_boundary(k, d));
+            }
+        }
+        // Shared factors of 1, 2, 3 and 5 limbs make the gcds non-trivial
+        // and move the products across the boundaries too.
+        let factors = [
+            BigInt::one(),
+            BigInt::from(4_294_967_291_i64),
+            from_limbs(&[0x89ab_cdef, 0x0123_4567, 0xdead_beef]),
+            from_limbs(&[7, 0, 0, 0, 1]),
+        ];
+        for f in &factors {
+            for a in &values {
+                for b in &values {
+                    let (fa, fb) = (a * f, b * f);
+                    let expected = euclid_gcd(&fa, &fb);
+                    assert_eq!(fa.gcd(&fb), expected, "gcd({fa}, {fb})");
+                    assert_eq!((-&fa).gcd(&fb), expected, "gcd(-{fa}, {fb})");
+                    assert_eq!(fb.gcd(&-&fa), expected, "gcd({fb}, -{fa})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gcd_with_zero_and_mixed_sizes() {
+        let wide = from_limbs(&[3, 1, 4, 1, 5, 9, 2]);
+        assert_eq!(wide.gcd(&BigInt::zero()), wide);
+        assert_eq!(BigInt::zero().gcd(&wide), wide);
+        assert_eq!((-&wide).gcd(&BigInt::zero()), wide);
+        assert_eq!(BigInt::zero().gcd(&BigInt::zero()), BigInt::zero());
+        for small in [1_i64, 2, 3, 9, -6, 4_294_967_295] {
+            let small = BigInt::from(small);
+            let wide_multiple = &wide * &small;
+            for w in [&wide, &wide_multiple] {
+                assert_eq!(small.gcd(w), euclid_gcd(&small, w), "gcd({small}, {w})");
+                assert_eq!(w.gcd(&small), euclid_gcd(w, &small), "gcd({w}, {small})");
+            }
+        }
+    }
+
     #[test]
     fn pow_matches_repeated_multiplication() {
         let three = BigInt::from(3_i64);
@@ -1003,6 +1117,23 @@ mod tests {
             prop_assert_eq!(g.to_string(), oracle_gcd(a as i128, b as i128).to_string());
             prop_assert_eq!(&(&x * &ba) + &(&y * &bb), g.clone());
             prop_assert!(!g.is_negative());
+        }
+
+        #[test]
+        fn prop_gcd_matches_euclid_on_multi_limb_operands(
+            a in proptest::collection::vec(any::<u32>(), 0..8),
+            b in proptest::collection::vec(any::<u32>(), 0..8),
+            f in proptest::collection::vec(any::<u32>(), 0..4),
+            negate in any::<bool>(),
+        ) {
+            let common = from_limbs(&f);
+            let mut a = &from_limbs(&a) * &common;
+            let b = &from_limbs(&b) * &common;
+            if negate {
+                a = -a;
+            }
+            prop_assert_eq!(a.gcd(&b), euclid_gcd(&a, &b));
+            prop_assert_eq!(b.gcd(&a), euclid_gcd(&b, &a));
         }
 
         #[test]

@@ -29,7 +29,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use crate::bigint::BigInt;
+use crate::bigint::{gcd_u128, gcd_u64, BigInt};
 use crate::error::NumericError;
 
 /// Internal storage of a [`Rational`].
@@ -55,26 +55,6 @@ enum Repr {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Rational {
     repr: Repr,
-}
-
-/// `gcd` over `u128` magnitudes (Euclid); `gcd(0, x) == x`.
-fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
-}
-
-/// `gcd` over `u64` magnitudes (Euclid); `gcd(0, x) == x`.
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
 }
 
 impl Rational {
@@ -439,6 +419,45 @@ impl Rational {
                 }
             }
         }
+    }
+
+    /// The content of a list of rationals: the gcd of the numerators over
+    /// the lcm of the denominators (non-negative); zero when the list is
+    /// empty or all zero.
+    ///
+    /// Accumulates in machine words — the numerator gcd in `u64`, the
+    /// denominator lcm in checked `u128` — while every value is inline, and
+    /// continues with [`BigInt`] accumulators from the first overflow or the
+    /// first big value on, so the result is the same exact value either way.
+    pub fn content_of<'a>(values: impl IntoIterator<Item = &'a Rational>) -> Rational {
+        let mut values = values.into_iter();
+        let mut num_gcd: u64 = 0;
+        let mut den_lcm: u128 = 1;
+        while let Some(v) = values.next() {
+            let step = match &v.repr {
+                Repr::Small { num, den } => {
+                    let den = *den as u128;
+                    (den_lcm / gcd_u128(den_lcm, den))
+                        .checked_mul(den)
+                        .map(|lcm| (gcd_u64(num_gcd, num.unsigned_abs()), lcm))
+                }
+                Repr::Big(_) => None,
+            };
+            let Some((g, l)) = step else {
+                let mut num_gcd = BigInt::from(num_gcd);
+                let mut den_lcm = BigInt::from(den_lcm);
+                for v in std::iter::once(v).chain(values) {
+                    num_gcd = num_gcd.gcd(&v.numer());
+                    den_lcm = den_lcm.lcm(&v.denom());
+                }
+                return Rational::from_bigints(num_gcd, den_lcm);
+            };
+            (num_gcd, den_lcm) = (g, l);
+        }
+        // Every prime of the numerator gcd divides every (reduced) numerator,
+        // hence no denominator: the pair is already in lowest terms.
+        debug_assert!(num_gcd == 0 || gcd_u128(num_gcd as u128, den_lcm) == 1);
+        Rational::from_sign_mag_reduced(false, num_gcd as u128, den_lcm)
     }
 
     /// Returns `true` when the value is stored in the inline `i64`/`u64`
@@ -939,7 +958,74 @@ mod tests {
         assert!(a > b);
     }
 
+    /// [`Rational::content_of`] computed with [`BigInt`] accumulators only.
+    fn bigint_content(values: &[Rational]) -> Rational {
+        let mut num_gcd = BigInt::zero();
+        let mut den_lcm = BigInt::one();
+        for v in values {
+            num_gcd = num_gcd.gcd(&v.numer());
+            den_lcm = den_lcm.lcm(&v.denom());
+        }
+        Rational::from_bigints(num_gcd, den_lcm)
+    }
+
+    #[test]
+    fn content_of_word_path_edges_match_bigint_accumulators() {
+        let big = Rational::from_bigints(BigInt::from(i64::MAX).pow(2), BigInt::from(5_i64));
+        let cases: Vec<Vec<Rational>> = vec![
+            vec![],
+            vec![Rational::zero()],
+            vec![
+                Rational::new(6, 1),
+                Rational::new(-9, 2),
+                Rational::new(3, 4),
+            ],
+            // |i64::MIN| = 2^63 is a numerator gcd no inline value holds.
+            vec![Rational::integer(i64::MIN)],
+            vec![Rational::integer(i64::MIN), Rational::zero()],
+            // Pairwise-coprime denominators near 2^62: the lcm leaves u128
+            // at the third value.
+            vec![
+                Rational::new(1, (1 << 62) - 57),
+                Rational::new(3, (1 << 62) - 87),
+                Rational::new(5, (1 << 62) - 117),
+                Rational::new(7, 11),
+            ],
+            vec![Rational::new(2, 3), big.clone(), Rational::new(4, 7)],
+            vec![big],
+        ];
+        for values in cases {
+            assert_eq!(
+                Rational::content_of(&values),
+                bigint_content(&values),
+                "{values:?}"
+            );
+        }
+    }
+
     proptest! {
+        /// The word-sized accumulators against the BigInt-only ones, on
+        /// lists mixing small denominators, full-range `i64` fractions (the
+        /// lcm overflows `u128`) and `Big` values.
+        #[test]
+        fn prop_content_of_matches_bigint_accumulators(
+            specs in proptest::collection::vec((any::<i64>(), any::<i64>(), 0u8..4), 0..8),
+        ) {
+            let values: Vec<Rational> = specs
+                .iter()
+                .map(|&(n, d, kind)| match kind {
+                    0 => Rational::new(n, d.rem_euclid(50) + 1),
+                    1 => Rational::new(n, if d == 0 { 1 } else { d }),
+                    2 => Rational::from_bigints(
+                        &(&BigInt::from(n) * &BigInt::from(i64::MAX)) + &BigInt::from(d),
+                        BigInt::from(d.rem_euclid(1000) + 1),
+                    ),
+                    _ => Rational::integer(n % 5),
+                })
+                .collect();
+            prop_assert_eq!(Rational::content_of(&values), bigint_content(&values));
+        }
+
         #[test]
         fn prop_field_axioms(an in -1000_i64..1000, ad in 1_i64..50,
                              bn in -1000_i64..1000, bd in 1_i64..50,
