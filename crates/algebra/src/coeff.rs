@@ -16,8 +16,8 @@
 //!   share the descending-canonical-sort storage invariant), so the exact
 //!   path is byte-identical to the historic concrete implementation — the
 //!   seed-oracle differential tests here and in `groebner.rs` pin this down.
-//! * [`symmap_numeric::Fp64`] instantiates it over ℤ/p (see
-//!   [`crate::modular`]), giving the mapper's prefilter a basis run whose
+//! * [`symmap_numeric::Fp64`] instantiates it over ℤ/p, giving the
+//!   multi-modular lift ([`crate::multimodular`]) prime images whose
 //!   coefficients never leave one machine word.
 //!
 //! Both instantiations run the same code, so they differ only in scalar
@@ -541,7 +541,7 @@ pub struct CoreOutput<F: CoeffField> {
 
 /// Buchberger's algorithm over an arbitrary coefficient field — the engine
 /// proper, shared by the ℚ path ([`crate::groebner::buchberger`]) and the
-/// ℤ/p path ([`crate::modular`]). Heap pair queue (normal selection
+/// ℤ/p path ([`crate::multimodular`]). Heap pair queue (normal selection
 /// strategy), coprime criterion at push, chain criterion at pop, cached
 /// leading terms, clone-free auto-reduction; step for step the historic
 /// concrete engine.

@@ -18,8 +18,6 @@
 //!   division loop parameterized over the coefficient field, instantiated by
 //!   ℚ and by ℤ/p,
 //! * Buchberger's algorithm for Gröbner bases ([`groebner`]),
-//! * a modular (ℤ/p) Gröbner fast path ([`modular`]) — the sound
-//!   membership prefilter used by the mapper's shared cache,
 //! * invariant polynomial fingerprints ([`fingerprint`]) — support masks,
 //!   degree signatures and ℤ/p evaluation hashes giving conservative O(1)
 //!   "cannot be equal / cannot divide / disjoint support" answers before any
@@ -61,7 +59,6 @@ pub mod factor;
 pub mod fingerprint;
 pub mod groebner;
 pub mod horner;
-pub mod modular;
 pub mod monomial;
 pub mod multimodular;
 pub mod ordering;

@@ -2,16 +2,16 @@
 //! with a CRT + rational-reconstruction lift verified over ℚ.
 //!
 //! The exact-ℚ Buchberger run pays for coefficient growth; the identical
-//! run over ℤ/p does not (the `modular_prefilter` bench measured 423× on
-//! the katsura-3 coefficient-growth regime). This module makes the cheap
-//! run *authoritative* instead of advisory:
+//! run over ℤ/p does not (the `multimodular_lift` bench measures the gap
+//! on the katsura-3 coefficient-growth regime). This module makes the
+//! cheap run *authoritative*:
 //!
 //! 1. **Images.** Compute the reduced Gröbner basis of the localized
 //!    generators modulo successive primes of the deterministic
 //!    [`PrimeIterator`] sequence, reusing the field-generic engine
-//!    ([`crate::coeff`]) and the strict generator localization of
-//!    [`crate::modular`] (primes dividing a denominator or a leading
-//!    coefficient are discarded on the spot).
+//!    ([`crate::coeff`]) over [`Fp64`], with strict generator localization
+//!    (primes dividing a denominator or a leading coefficient are
+//!    discarded on the spot; see [`UnluckyPrime`]).
 //! 2. **Vote.** Group images by *skeleton* — the full per-element monomial
 //!    support, which refines the leading-monomial set — and take the
 //!    majority group, earliest-image first on ties. An unlucky prime that
@@ -42,10 +42,93 @@ use crate::coeff::{
     buchberger_core_in, normal_form_in, CPoly, CPrepared, CoeffField, RationalField,
 };
 use crate::groebner::GroebnerOptions;
-use crate::modular::{localize_generator, MAX_PRIME_ROTATIONS};
 use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
+
+/// ℤ/p as a coefficient field for the generic engine. Elements are `u64`
+/// residues in Montgomery form; the context carries the Montgomery constants,
+/// so every operation is a handful of word multiplies.
+impl CoeffField for Fp64 {
+    type Elem = u64;
+
+    fn one(&self) -> u64 {
+        Fp64::one(self)
+    }
+    fn is_zero(&self, a: &u64) -> bool {
+        *a == 0
+    }
+    fn neg(&self, a: &u64) -> u64 {
+        Fp64::neg(self, *a)
+    }
+    fn add(&self, a: &u64, b: &u64) -> u64 {
+        Fp64::add(self, *a, *b)
+    }
+    fn mul(&self, a: &u64, b: &u64) -> u64 {
+        Fp64::mul(self, *a, *b)
+    }
+    fn inv(&self, a: &u64) -> u64 {
+        Fp64::inv(self, *a)
+    }
+    fn div(&self, a: &u64, b: &u64) -> u64 {
+        Fp64::div(self, *a, *b)
+    }
+}
+
+/// Why a prime was rejected for an ideal at localization time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnluckyPrime {
+    /// The prime divides the denominator of some generator coefficient, so
+    /// the generator has no image in 𝔽p\[x\].
+    Denominator,
+    /// The prime divides the numerator of a generator's leading coefficient,
+    /// so the image's leading structure differs from the exact ideal's.
+    LeadingCoefficient,
+}
+
+/// How many localization-rejected primes [`multimodular_basis_with_primes`]
+/// draws past its image budget before giving up. Each rejection only rules
+/// out finitely many divisors, so in practice the first prime almost always
+/// succeeds; the bound exists to keep adversarial inputs from walking the
+/// iterator forever.
+pub const MAX_PRIME_ROTATIONS: usize = 16;
+
+/// Reduces one rational coefficient mod p, returning its Montgomery-form
+/// residue; `None` when p divides the denominator.
+fn localize_coefficient(field: &Fp64, c: &Rational) -> Option<u64> {
+    let p = field.modulus();
+    let den = c.denom().mod_u64(p);
+    if den == 0 {
+        return None;
+    }
+    let num = c.numer().mod_u64(p);
+    Some(field.div(field.to_montgomery(num), field.to_montgomery(den)))
+}
+
+/// Localizes a **generator**: strict about unlucky primes. Errors when p
+/// divides a denominator or kills the leading coefficient under `order`.
+fn localize_generator(
+    field: &Fp64,
+    g: &Poly,
+    order: &MonomialOrder,
+) -> Result<CPoly<Fp64>, UnluckyPrime> {
+    let (lm, _) = g
+        .leading_term(order)
+        .expect("zero generators are filtered before localization");
+    let mut terms = Vec::with_capacity(g.num_terms());
+    for (m, c) in g.sorted_terms() {
+        match localize_coefficient(field, c) {
+            None => return Err(UnluckyPrime::Denominator),
+            Some(0) => {
+                if *m == lm {
+                    return Err(UnluckyPrime::LeadingCoefficient);
+                }
+            }
+            Some(k) => terms.push((m.clone(), k)),
+        }
+    }
+    Ok(CPoly::from_sorted_terms(terms))
+}
 
 /// How many *accepted* prime images [`multimodular_basis`] will compute
 /// before giving up on the lift. Coefficients that survive reduction are
@@ -279,7 +362,7 @@ pub fn multimodular_basis(
 ///
 /// `max_images` bounds the number of *accepted* images; localization
 /// rejections additionally consume at most [`MAX_PRIME_ROTATIONS`] extra
-/// draws, mirroring the prefilter's rotation bound. A `None` basis in the
+/// draws. A `None` basis in the
 /// returned [`LiftOutcome`] means "fall back to the exact engine".
 pub fn multimodular_basis_with_primes(
     generators: &[Poly],

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::AlgebraError;
-use crate::groebner::{buchberger, GroebnerOptions, ProbeVerdict, SharedGroebnerCache};
+use crate::groebner::{buchberger, GroebnerOptions, SharedGroebnerCache};
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
 use crate::var::{Var, VarSet};
@@ -238,18 +238,8 @@ fn simplify_in_order(
     let generators = relations.generators();
     let (result, complete, reductions) = match cache {
         Some(cache) => {
-            // Membership prefilter: a no-op unless the cache was built with
-            // `CacheConfig::modular_prefilter`. An *advisory* (mod-p) verdict
-            // only feeds the probe counters — the exact reduction below runs
-            // and decides. A *certified* membership verdict came from the
-            // resident exact basis, so the zero normal form is already
-            // proven and re-reducing over ℚ would only reproduce it.
-            let verdict = cache.probe_membership_verdict(&generators, order, options, target);
             let gb = cache.basis(&generators, order, options);
-            match verdict {
-                Some(ProbeVerdict::Certified(true)) => (Poly::zero(), gb.complete, gb.reductions),
-                _ => (gb.reduce(target), gb.complete, gb.reductions),
-            }
+            (gb.reduce(target), gb.complete, gb.reductions)
         }
         None => {
             let gb = buchberger(&generators, order, options);

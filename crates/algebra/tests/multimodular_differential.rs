@@ -62,7 +62,7 @@ fn budget_ideals() -> Vec<(&'static str, Vec<Poly>, MonomialOrder)> {
 
 /// All 8 ablation combinations of the Buchberger criteria/tiebreak, with the
 /// multimodular flag pinned off so the oracle side is always the exact
-/// engine regardless of `SYMMAP_TEST_MULTIMODULAR`.
+/// engine, whatever `GroebnerOptions::default()` says.
 fn option_combinations() -> Vec<GroebnerOptions> {
     let mut combos = Vec::new();
     for coprime in [true, false] {
@@ -137,22 +137,24 @@ fn unlucky_leading_prime_is_outvoted_and_the_lift_recovers() {
     assert_eq!(outcome.primes_used, 3);
 }
 
-/// A localization-rejecting prime (denominator divisible by the planted
-/// prime) is skipped by rotation, exactly like the prefilter's rotation
-/// path, and the lift proceeds on the remaining primes.
+/// A localization-rejecting prime is skipped by rotation and the lift
+/// proceeds on the remaining primes. Two rejections are planted: 3 divides
+/// a coefficient denominator in the first ideal, and it divides the
+/// leading coefficient of the second ideal's generator.
 #[test]
 fn localization_rejected_prime_is_rotated_past() {
-    let gens = [p("x^2 - 1/3*y"), p("y^2 - 1")];
+    let ideals = [vec![p("x^2 - 1/3*y"), p("y^2 - 1")], vec![p("3*x^2 - y")]];
     let order = MonomialOrder::lex(&["x", "y"]);
     let options = option_combinations().remove(0);
-    let exact = buchberger(&gens, &order, &options);
-
-    let mut primes = vec![3_u64];
-    primes.extend(PrimeIterator::new().take(2));
-    let outcome = multimodular_basis_with_primes(&gens, &order, &options, primes, 2);
-    let basis = outcome.basis.expect("rotation must recover");
-    assert_eq!(format!("{:?}", basis.polys), format!("{:?}", exact.polys()));
-    assert!(outcome.discarded_primes >= 1);
+    for gens in ideals {
+        let exact = buchberger(&gens, &order, &options);
+        let mut primes = vec![3_u64];
+        primes.extend(PrimeIterator::new().take(2));
+        let outcome = multimodular_basis_with_primes(&gens, &order, &options, primes, 2);
+        let basis = outcome.basis.expect("rotation must recover");
+        assert_eq!(format!("{:?}", basis.polys), format!("{:?}", exact.polys()));
+        assert!(outcome.discarded_primes >= 1, "{gens:?}");
+    }
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Model of the shared Gröbner cache's compute-outside-lock / adopt-winner
 //! shard protocol (`crates/algebra/src/groebner.rs`, `basis` /
-//! `local_basis` / `fp_basis_for`).
+//! `local_basis`).
 //!
 //! The real protocol, per thread, for one cache key:
 //!

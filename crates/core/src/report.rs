@@ -155,13 +155,6 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         stats.cache_alpha_hits(),
         stats.cache_alpha_misses(),
     ));
-    if stats.fp_hits + stats.fp_rejects + stats.unlucky_primes + stats.fp_exact_reuse > 0 {
-        out.push_str(&format!(
-            "  modular prefilter: {} mod-p zero / {} mod-p nonzero probes, \
-             {} unlucky primes rotated, {} certified from resident exact bases\n",
-            stats.fp_hits, stats.fp_rejects, stats.unlucky_primes, stats.fp_exact_reuse,
-        ));
-    }
     if stats.lift_success + stats.lift_retry + stats.lift_fallback + stats.lift_bypass > 0 {
         out.push_str(&format!(
             "  multi-modular lift: {} verified lifts ({} prime images CRT-combined) / \
@@ -195,7 +188,7 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         ));
     }
     // Per-phase breakdown over the unified registry window: every counter
-    // rolls up under its name's leading family segment (cache, alpha, fp,
+    // rolls up under its name's leading family segment (cache, alpha,
     // lift, pool, …), histograms report count and mean.
     let mut families: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     for (name, v) in &stats.metrics.counters {

@@ -57,9 +57,9 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Bounded capacity (in memoized bases) of the shared Gröbner cache.
     pub cache_capacity: usize,
-    /// Enables the cache's modular (ℤ/p) membership prefilter. Advisory in
-    /// this phase: mapper output is byte-identical with it on or off — the
-    /// probe only adds mod-p telemetry to [`EngineStats`].
+    /// Ignored: the mod-p membership prefilter it once enabled is gone. The
+    /// benchmark harness, its only reader, still spells it out.
+    #[doc(hidden)]
     pub modular_prefilter: bool,
     /// Enables structured tracing for the batch: every run collects per-job
     /// and per-compute event streams plus a sched channel, returned as
@@ -70,20 +70,17 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// One worker — the sequential path — unless the `SYMMAP_TEST_WORKERS`
-    /// environment variable overrides it (CI sets it to 4 so the whole test
-    /// suite exercises the parallel path; output is identical either way).
-    /// The modular prefilter is off unless `SYMMAP_TEST_MODULAR` enables it
-    /// the same way (CI runs the suite a third time with it on), and tracing
-    /// is off unless `SYMMAP_TEST_TRACE` enables it (a fifth CI pass).
+    /// One worker (the sequential path), the default cache geometry and no
+    /// tracing. Callers that want the parallel or traced path set `workers`
+    /// or `trace` explicitly; output is identical either way.
     fn default() -> Self {
         let cache = CacheConfig::default();
         EngineConfig {
-            workers: workers_from_env().unwrap_or(1),
+            workers: 1,
             cache_shards: cache.shards,
             cache_capacity: cache.capacity,
-            modular_prefilter: modular_from_env().unwrap_or(false),
-            trace: trace_from_env().unwrap_or(false),
+            modular_prefilter: false,
+            trace: false,
         }
     }
 }
@@ -94,38 +91,7 @@ impl EngineConfig {
         CacheConfig {
             shards: self.cache_shards,
             capacity: self.cache_capacity,
-            modular_prefilter: self.modular_prefilter,
         }
-    }
-}
-
-fn workers_from_env() -> Option<usize> {
-    // lint:allow(D5): this IS the CI switch — worker count never changes
-    // mapping output (see the determinism argument in the module docs).
-    std::env::var("SYMMAP_TEST_WORKERS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&w| w >= 1)
-}
-
-fn modular_from_env() -> Option<bool> {
-    // lint:allow(D5): this IS the CI switch — the modular prefilter is an
-    // advisory cache prefilter and cannot change mapping output.
-    match std::env::var("SYMMAP_TEST_MODULAR").ok()?.trim() {
-        "" | "0" => Some(false),
-        _ => Some(true),
-    }
-}
-
-fn trace_from_env() -> Option<bool> {
-    // lint:allow(D5): this IS the CI switch — tracing is provably
-    // non-perturbing (the trace-determinism suite pins outcomes byte-
-    // identical with it on or off).
-    match std::env::var("SYMMAP_TEST_TRACE").ok()?.trim() {
-        "" | "0" => Some(false),
-        _ => Some(true),
     }
 }
 
@@ -191,20 +157,6 @@ pub struct EngineStats {
     /// — was already memoized, so only a cheap globalization ran instead of
     /// a Buchberger computation.
     pub alpha_shards: Vec<CacheShardStats>,
-    /// Modular-prefilter probes during this batch whose target reduced to
-    /// zero mod p (membership *likely*; the exact run decides). Zero when
-    /// the prefilter is disabled.
-    pub fp_hits: usize,
-    /// Probes whose target had a nonzero normal form under a complete mod-p
-    /// basis (non-membership, confirmed by the exact run in this phase).
-    pub fp_rejects: usize,
-    /// Unlucky primes rotated past while computing mod-p bases this batch.
-    pub unlucky_primes: usize,
-    /// Probes answered *certified* from a resident exact basis this batch —
-    /// the prefilter reused the already-lifted basis shard instead of
-    /// localizing a fresh mod-p image (see
-    /// `SharedGroebnerCache::probe_membership_verdict`).
-    pub fp_exact_reuse: usize,
     /// Basis computations settled by the verified multi-modular lift this
     /// batch (no exact Buchberger run). Zero unless jobs carried
     /// `GroebnerOptions::multimodular`.
@@ -410,10 +362,6 @@ impl MappingEngine {
                 wall: start.elapsed(),
                 cache_shards: shard_deltas(&delta, "cache.shard", shard_count),
                 alpha_shards: shard_deltas(&delta, "alpha.shard", shard_count),
-                fp_hits: delta.counter("fp.hits") as usize,
-                fp_rejects: delta.counter("fp.rejects") as usize,
-                unlucky_primes: delta.counter("fp.unlucky_primes") as usize,
-                fp_exact_reuse: delta.counter("fp.exact_reuse") as usize,
                 lift_success: delta.counter("lift.success") as usize,
                 lift_retry: delta.counter("lift.retry") as usize,
                 lift_fallback: delta.counter("lift.fallback") as usize,
@@ -603,19 +551,5 @@ mod tests {
             0,
             "second engine recomputed bases the shared cache already holds"
         );
-    }
-
-    #[test]
-    fn default_config_reads_the_test_workers_env() {
-        // Not set in this test process unless CI exported it; both shapes are
-        // valid — just assert the parse contract.
-        // lint:allow(D5): test asserting the CI-switch parse contract itself.
-        match std::env::var("SYMMAP_TEST_WORKERS") {
-            Ok(v) => {
-                let parsed: usize = v.trim().parse().unwrap_or(1);
-                assert_eq!(EngineConfig::default().workers, parsed.max(1));
-            }
-            Err(_) => assert_eq!(EngineConfig::default().workers, 1),
-        }
     }
 }

@@ -1,39 +1,50 @@
 //! Differential test of the batch engine's determinism contract: mapping the
 //! full 11-kernel MP3 batch must produce byte-identical `MappingSolution`s
-//! at every worker count, across repeated runs, and with the modular (ℤ/p)
-//! prefilter on or off — scheduling nondeterminism may move work between
-//! threads and change cache *timing*, and the prefilter may add mod-p
-//! probes, but never results. (See `DESIGN.md` §5/§6 for why this holds.)
+//! at every worker count, across repeated runs, with the multi-modular lift
+//! on or off and with tracing on or off — scheduling nondeterminism may move
+//! work between threads and change cache *timing*, the lift may replace
+//! exact Buchberger runs and the tracer may record events, but none of them
+//! may change results. (See `DESIGN.md` §5/§6 for why this holds.)
 
 use std::sync::Arc;
 
-use symmap::engine::{EngineConfig, MapperConfig, MappingEngine};
+use symmap::algebra::groebner::GroebnerOptions;
+use symmap::engine::{BatchResult, EngineConfig, MapperConfig, MappingEngine};
 use symmap::libchar::catalog;
 use symmap::platform::machine::Badge4;
 use symmap_bench::mp3_kernel_jobs;
 
-fn run_batch_debug_with(workers: usize, modular_prefilter: bool) -> String {
+fn run_batch(workers: usize, multimodular: bool, trace: bool) -> BatchResult {
     let badge = Badge4::new();
     let library = Arc::new(catalog::full_catalog(&badge));
-    let jobs = mp3_kernel_jobs(&library, &MapperConfig::default());
+    let config = MapperConfig {
+        groebner: GroebnerOptions {
+            multimodular,
+            ..GroebnerOptions::default()
+        },
+        ..MapperConfig::default()
+    };
+    let jobs = mp3_kernel_jobs(&library, &config);
     assert_eq!(jobs.len(), 11);
     let engine = MappingEngine::new(EngineConfig {
         workers,
-        modular_prefilter,
+        trace,
         ..EngineConfig::default()
     });
     let batch = engine.run(&jobs);
     assert_eq!(batch.outcomes.len(), 11);
-    // The Debug rendering covers every field of every outcome (targets,
-    // rewrites, used elements, relations, costs, accuracy, node counts,
-    // completeness), so equal strings mean byte-identical solutions.
+    batch
+}
+
+/// The Debug rendering covers every field of every outcome (targets,
+/// rewrites, used elements, relations, costs, accuracy, node counts,
+/// completeness), so equal strings mean byte-identical solutions.
+fn render(batch: &BatchResult) -> String {
     format!("{:?}", batch.outcomes)
 }
 
 fn run_batch_debug(workers: usize) -> String {
-    // Inherit the ambient default so the SYMMAP_TEST_MODULAR CI run also
-    // exercises these paths with the prefilter on.
-    run_batch_debug_with(workers, EngineConfig::default().modular_prefilter)
+    render(&run_batch(workers, true, false))
 }
 
 #[test]
@@ -49,43 +60,31 @@ fn mp3_kernel_batch_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn mp3_kernel_batch_is_byte_identical_with_modular_prefilter_on_and_off() {
-    let reference = run_batch_debug_with(1, false);
+fn mp3_kernel_batch_is_byte_identical_across_workers_lift_and_trace() {
+    let reference = run_batch_debug(1);
     for workers in [1, 2, 4, 8] {
-        for modular in [false, true] {
-            assert_eq!(
-                run_batch_debug_with(workers, modular),
-                reference,
-                "solutions diverged at {workers} workers, modular_prefilter={modular}"
-            );
+        for multimodular in [false, true] {
+            for trace in [false, true] {
+                let batch = run_batch(workers, multimodular, trace);
+                assert_eq!(
+                    render(&batch),
+                    reference,
+                    "solutions diverged at {workers} workers, \
+                     multimodular={multimodular}, trace={trace}"
+                );
+                // A cold MP3 batch has ideals the profitability gate lets
+                // through, so the lift must actually engage when it is on.
+                let stats = &batch.stats;
+                if multimodular {
+                    assert!(
+                        stats.lift_success + stats.lift_fallback >= 1,
+                        "the lift never ran at {workers} workers, trace={trace}"
+                    );
+                }
+                assert_eq!(batch.trace.is_some(), trace);
+            }
         }
     }
-}
-
-#[test]
-fn modular_prefilter_probes_fire_on_the_mp3_batch() {
-    let badge = Badge4::new();
-    let library = Arc::new(catalog::full_catalog(&badge));
-    let jobs = mp3_kernel_jobs(&library, &MapperConfig::default());
-    let engine = MappingEngine::new(EngineConfig {
-        workers: 1,
-        modular_prefilter: true,
-        ..EngineConfig::default()
-    });
-    let batch = engine.run(&jobs);
-    // The mapper prices many candidate rewrites per kernel, so a real batch
-    // must generate mod-p probe traffic — otherwise the prefilter is wired
-    // to a dead path.
-    let stats = &batch.stats;
-    assert!(
-        stats.fp_hits + stats.fp_rejects > 0,
-        "no mod-p probes fired: fp_hits={} fp_rejects={} unlucky={}",
-        stats.fp_hits,
-        stats.fp_rejects,
-        stats.unlucky_primes
-    );
-    let rendered = symmap::core::report::render_engine_stats(stats);
-    assert!(rendered.contains("modular prefilter"), "{rendered}");
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!
 //! Everything runs inside one test function on purpose: `Var` handles render
 //! as interner indices, so the fixtures hold only when the process interns
-//! names in the same order on every run. Configurations are full literals so
-//! no `SYMMAP_TEST_*` switch can reach the mapper.
+//! names in the same order on every run. Configurations are spelled out so a
+//! change to a `Default` impl cannot move the fixtures.
 
 use std::sync::Arc;
 
@@ -37,8 +37,8 @@ fn engine_config(workers: usize) -> EngineConfig {
         workers,
         cache_shards: 8,
         cache_capacity: 4096,
-        modular_prefilter: false,
         trace: true,
+        ..EngineConfig::default()
     }
 }
 
