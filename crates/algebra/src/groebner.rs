@@ -379,24 +379,23 @@ fn ring_localized(generators: &[Poly], order: &MonomialOrder) -> (Ring, Vec<Poly
     (ring, lgens, lorder)
 }
 
-/// Wraps a core result (in `ring`'s local coordinates) into a lazily
-/// globalizing [`GroebnerBasis`] under the caller's order.
-fn basis_from_core(
-    local_polys: Arc<[Poly]>,
-    core: &CoreBasis,
-    ring: Ring,
-    order: &MonomialOrder,
-) -> GroebnerBasis {
-    GroebnerBasis {
-        ring: Some(ring),
-        local_polys,
-        global: OnceLock::new(),
-        local_prepared: OnceLock::new(),
-        order: order.clone(),
-        complete: core.complete,
-        reductions: core.reductions,
-        skipped_coprime: core.skipped_coprime,
-        skipped_chain: core.skipped_chain,
+impl GroebnerBasis {
+    /// Wraps a core result into a lazily globalizing basis under the
+    /// caller's order: `ring` is the ring whose local coordinates the core
+    /// polynomials are in, `None` when they already are global (the
+    /// [`buchberger_unringed`] oracle path).
+    fn from_core(core: &CoreBasis, ring: Option<Ring>, order: &MonomialOrder) -> Self {
+        GroebnerBasis {
+            ring,
+            local_polys: Arc::clone(&core.polys),
+            global: OnceLock::new(),
+            local_prepared: OnceLock::new(),
+            order: order.clone(),
+            complete: core.complete,
+            reductions: core.reductions,
+            skipped_coprime: core.skipped_coprime,
+            skipped_chain: core.skipped_chain,
+        }
     }
 }
 
@@ -421,7 +420,7 @@ pub fn buchberger(
 ) -> GroebnerBasis {
     let (ring, lgens, lorder) = ring_localized(generators, order);
     let (core, _lift) = compute_core(&lgens, &lorder, options);
-    basis_from_core(Arc::clone(&core.polys), &core, ring, order)
+    GroebnerBasis::from_core(&core, Some(ring), order)
 }
 
 /// [`buchberger`] on **global** interner coordinates, with no ring boundary —
@@ -441,17 +440,7 @@ pub fn buchberger_unringed(
     options: &GroebnerOptions,
 ) -> GroebnerBasis {
     let (core, _lift) = compute_core(generators, order, options);
-    GroebnerBasis {
-        ring: None,
-        local_polys: core.polys,
-        global: OnceLock::new(),
-        local_prepared: OnceLock::new(),
-        order: order.clone(),
-        complete: core.complete,
-        reductions: core.reductions,
-        skipped_coprime: core.skipped_coprime,
-        skipped_chain: core.skipped_chain,
-    }
+    GroebnerBasis::from_core(&core, None, order)
 }
 
 /// Computes a Gröbner basis with default options.
@@ -481,115 +470,165 @@ impl Default for CacheConfig {
     }
 }
 
-/// Point-in-time counters of one cache shard — a readout of the registry
-/// handles the shard increments (`cache.shard.N.*` / `alpha.shard.N.*`).
-///
-/// The bespoke `delta_since` this struct used to carry is gone: per-batch
-/// deltas now come from the one
-/// [`MetricsSnapshot::delta_since`](symmap_trace::MetricsSnapshot::delta_since)
-/// facade, which the engine re-exports through its `EngineStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheShardStats {
-    /// Lookups answered from the shard.
-    pub hits: usize,
-    /// Lookups that computed a fresh basis.
-    pub misses: usize,
-    /// Entries evicted by the capacity bound.
-    pub evictions: usize,
-    /// Bases currently memoized in the shard.
-    pub len: usize,
+/// Key of both cache layers: order, options and generators. The global
+/// layer stores requests verbatim; the ring-local (α-equivalence) layer
+/// stores the localized order and generators of [`ring_localized`], so two
+/// requests that differ only by a variable renaming (or by order entries
+/// outside the ideal's ring — e.g. target-only variables in the mapper's
+/// default orders) collapse onto one α-key.
+type BasisKey = (MonomialOrder, GroebnerOptions, Vec<Poly>);
+
+/// Registry prefix and sched-channel event names of one memo layer.
+#[derive(Debug, Clone, Copy)]
+struct Layer {
+    /// Prefix of the layer's `hits`/`misses`/`evictions` counters and its
+    /// `len` gauge (the resident count).
+    metrics: &'static str,
+    hit: &'static str,
+    miss: &'static str,
+    evict: &'static str,
 }
 
-// Determinism audit (rule D1, symmap-lint): the cache layers below keep
-// their entries in HashMaps, which is safe ONLY because no code path ever
-// iterates them — every access is a point lookup (`get`/`entry`/`remove`)
-// keyed by an owned `CacheKey`/`LocalKey`. Eviction order comes from the
-// FIFO `queue: VecDeque<…>` (front = victim), never from map iteration;
-// aggregate stats (`hits()`, `len()`, `shard_stats()`, …) iterate the
-// *shard slice* `Box<[Mutex<…>]>`, whose order is the fixed array order.
-// Anyone adding a render/debug path that walks `entries` must sort the
-// keys first or switch the layer to a BTreeMap.
-/// The per-order level of a shard.
-type OptionsMap = HashMap<GroebnerOptions, GeneratorMap>;
-/// The per-(order, options) generator-set level of a shard.
-type GeneratorMap = HashMap<Vec<Poly>, Arc<GroebnerBasis>>;
-/// Owned lookup key, kept in insertion order for eviction.
-type CacheKey = (MonomialOrder, GroebnerOptions, Vec<Poly>);
-/// Key of the ring-local (α-equivalence) layer: the localized order and
-/// generators of [`ring_localized`] plus the options. Two global keys that
-/// differ only by a variable renaming (or by order entries outside the
-/// ideal's ring — e.g. target-only variables in the mapper's default orders)
-/// collapse onto one local key.
-type LocalKey = (MonomialOrder, GroebnerOptions, Vec<Poly>);
+const GLOBAL_LAYER: Layer = Layer {
+    metrics: "cache",
+    hit: "cache.hit",
+    miss: "cache.miss",
+    evict: "cache.evict",
+};
 
-/// One lock-striped slice of the ring-local layer: localized key → core
-/// basis (in local coordinates), FIFO-bounded like the global layer. Its
-/// `stats.hits` are the *α-hits*: lookups whose global key was never seen
-/// but whose ring-local form was.
+/// The α-layer's hits are the *α-hits*: lookups whose global key was never
+/// seen but whose ring-local form was.
+const ALPHA_LAYER: Layer = Layer {
+    metrics: "alpha",
+    hit: "cache.alpha.hit",
+    miss: "cache.alpha.miss",
+    evict: "cache.alpha.evict",
+};
+
+/// A lock-striped, FIFO-bounded memo from keys to `Arc`-shared values: the
+/// one shard type behind both cache layers.
+///
+/// Callers address an entry by a fixed-seed key id, which picks the shard
+/// (`id % shards`) and the bucket inside it; a hit is confirmed by full key
+/// equality, so a hash collision can never return another key's value. A
+/// hit allocates nothing and hashes no key beyond the id the caller holds.
 #[derive(Debug)]
-struct LocalShard {
-    entries: HashMap<LocalKey, Arc<CoreBasis>>,
-    queue: VecDeque<LocalKey>,
+struct Memo<K, V> {
+    shards: Box<[Mutex<MemoShard<K, V>>]>,
+    per_shard_capacity: usize,
+    layer: Layer,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
     len: Gauge,
 }
 
-impl LocalShard {
-    fn new(metrics: &MetricsRegistry, index: usize) -> Self {
-        LocalShard {
-            entries: HashMap::new(),
-            queue: VecDeque::new(),
-            hits: metrics.counter(&format!("alpha.shard.{index}.hits")),
-            misses: metrics.counter(&format!("alpha.shard.{index}.misses")),
-            evictions: metrics.counter(&format!("alpha.shard.{index}.evictions")),
-            len: metrics.gauge(&format!("alpha.shard.{index}.len")),
-        }
-    }
+// Determinism audit (rule D1, symmap-lint): each memo shard keeps its
+// entries in a HashMap keyed by key id, which is safe ONLY because no code
+// path ever iterates it — every access is a point lookup (`get`/`entry`/
+// `get_mut`/`remove`) by id. Eviction order comes from the FIFO
+// `queue: VecDeque<u64>` (front = victim), never from map iteration, and the
+// layer statistics are registry counters, not walks over shards. Anyone
+// adding a render/debug path that walks `buckets` must sort the ids first or
+// switch the memo to a BTreeMap.
+#[derive(Debug)]
+struct MemoShard<K, V> {
+    /// Key id → the entries with that id, oldest first. Ids are 64-bit
+    /// hashes, so a bucket almost always holds one entry.
+    buckets: HashMap<u64, Vec<(K, Arc<V>)>>,
+    /// One id per resident entry, in insertion order; the front is the
+    /// eviction victim, and the oldest entry of its bucket is that entry.
+    queue: VecDeque<u64>,
+}
 
-    fn stats(&self) -> CacheShardStats {
-        CacheShardStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-            evictions: self.evictions.get() as usize,
-            len: self.entries.len(),
-        }
+impl<K, V> MemoShard<K, V> {
+    fn find(&self, id: u64, is_key: &impl Fn(&K) -> bool) -> Option<&Arc<V>> {
+        let (_, value) = self.buckets.get(&id)?.iter().find(|(k, _)| is_key(k))?;
+        Some(value)
     }
 
     fn evict_oldest(&mut self) {
-        if let Some(key) = self.queue.pop_front() {
-            if self.entries.remove(&key).is_some() {
-                self.evictions.inc();
-                self.len.set(self.entries.len() as i64);
-                trace_sched!("cache.alpha.evict");
-            }
+        let id = self.queue.pop_front().expect("overfull shard");
+        let bucket = self.buckets.get_mut(&id).expect("a queued id has a bucket");
+        bucket.remove(0);
+        if bucket.is_empty() {
+            self.buckets.remove(&id);
         }
     }
 }
 
-/// Point-in-time counters of the multi-modular lift
-/// ([`SharedGroebnerCache::lift_stats`]). All zero when no request carried
-/// [`GroebnerOptions::multimodular`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiftStats {
-    /// Basis computations settled entirely by the verified lift: the mod-p
-    /// images CRT-combined, reconstructed and verified over ℚ, so the exact
-    /// engine never ran.
-    pub lift_success: usize,
-    /// Reconstruction/verification rounds that failed and forced another
-    /// prime before the outcome was settled (a run that eventually succeeds
-    /// still counts its earlier failed rounds here).
-    pub lift_retry: usize,
-    /// Basis computations the lift could not certify, answered by the exact
-    /// fallback instead. The result is still correct — just not faster.
-    pub lift_fallback: usize,
-    /// Requests the profitability gate routed straight to the exact engine
-    /// (small all-integer ideals) without attempting a prime image.
-    pub lift_bypass: usize,
-    /// Mod-p prime images that fed the final CRT combine, summed over
-    /// successful lifts (1 means single-prime coefficients all round).
-    pub crt_primes_used: usize,
+impl<K, V> Memo<K, V> {
+    fn new(
+        metrics: &MetricsRegistry,
+        layer: Layer,
+        shards: usize,
+        per_shard_capacity: usize,
+    ) -> Self {
+        let name = |metric: &str| format!("{}.{metric}", layer.metrics);
+        Memo {
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(MemoShard {
+                        buckets: HashMap::new(),
+                        queue: VecDeque::new(),
+                    })
+                })
+                .collect(),
+            per_shard_capacity,
+            layer,
+            hits: metrics.counter(&name("hits")),
+            misses: metrics.counter(&name("misses")),
+            evictions: metrics.counter(&name("evictions")),
+            len: metrics.gauge(&name("len")),
+        }
+    }
+
+    /// Returns the value of the key `is_key` accepts among those with id
+    /// `id`, or runs `compute` and memoizes the key and value it returns.
+    ///
+    /// `compute` runs *outside* the shard lock, so colliding lookups
+    /// proceed; if another thread inserted the key meanwhile, its value is
+    /// adopted and ours dropped, so at most one copy is retained. When the
+    /// shard outgrows its capacity, its oldest insertions are evicted.
+    fn get_or_compute(
+        &self,
+        id: u64,
+        is_key: impl Fn(&K) -> bool,
+        compute: impl FnOnce() -> (K, V),
+    ) -> Arc<V> {
+        let shard = &self.shards[(id % self.shards.len() as u64) as usize];
+        {
+            let locked = shard.lock();
+            if let Some(hit) = locked.find(id, &is_key) {
+                self.hits.inc();
+                trace_sched!(self.layer.hit);
+                return Arc::clone(hit);
+            }
+            self.misses.inc();
+            trace_sched!(self.layer.miss);
+        }
+        let (key, value) = compute();
+        let mut locked = shard.lock();
+        if let Some(winner) = locked.find(id, &is_key) {
+            // Lost a compute race on this key; adopt the winner's entry.
+            return Arc::clone(winner);
+        }
+        let value = Arc::new(value);
+        locked
+            .buckets
+            .entry(id)
+            .or_default()
+            .push((key, Arc::clone(&value)));
+        locked.queue.push_back(id);
+        self.len.add(1);
+        while locked.queue.len() > self.per_shard_capacity {
+            locked.evict_oldest();
+            self.evictions.inc();
+            self.len.add(-1);
+            trace_sched!(self.layer.evict);
+        }
+        value
+    }
 }
 
 /// The answer type of [`SharedGroebnerCache::probe_membership_verdict`].
@@ -599,78 +638,6 @@ pub struct LiftStats {
 pub enum ProbeVerdict {
     /// An exact membership answer. Never produced.
     Certified(bool),
-}
-
-/// One lock-striped slice of the cache.
-#[derive(Debug)]
-struct CacheShard {
-    /// Nested maps so a lookup probes every level with *borrowed* keys (the
-    /// generator level via `Vec<Poly>: Borrow<[Poly]>`): a hit allocates and
-    /// clones nothing — only a miss materializes the owned keys.
-    entries: HashMap<MonomialOrder, OptionsMap>,
-    /// Keys in insertion order; the front is the eviction victim. Inserts
-    /// and removals are 1:1 with the queue, so `queue.len()` *is* the shard
-    /// length.
-    queue: VecDeque<CacheKey>,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    len: Gauge,
-}
-
-impl CacheShard {
-    fn new(metrics: &MetricsRegistry, index: usize) -> Self {
-        CacheShard {
-            entries: HashMap::new(),
-            queue: VecDeque::new(),
-            hits: metrics.counter(&format!("cache.shard.{index}.hits")),
-            misses: metrics.counter(&format!("cache.shard.{index}.misses")),
-            evictions: metrics.counter(&format!("cache.shard.{index}.evictions")),
-            len: metrics.gauge(&format!("cache.shard.{index}.len")),
-        }
-    }
-
-    fn stats(&self) -> CacheShardStats {
-        CacheShardStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-            evictions: self.evictions.get() as usize,
-            len: self.queue.len(),
-        }
-    }
-
-    fn lookup(
-        &self,
-        generators: &[Poly],
-        order: &MonomialOrder,
-        options: &GroebnerOptions,
-    ) -> Option<&Arc<GroebnerBasis>> {
-        self.entries
-            .get(order)
-            .and_then(|m| m.get(options))
-            .and_then(|m| m.get(generators))
-    }
-
-    fn evict_oldest(&mut self) {
-        let Some((order, options, generators)) = self.queue.pop_front() else {
-            return;
-        };
-        if let Some(options_map) = self.entries.get_mut(&order) {
-            if let Some(generator_map) = options_map.get_mut(&options) {
-                if generator_map.remove(&generators).is_some() {
-                    self.evictions.inc();
-                    self.len.set(self.queue.len() as i64);
-                    trace_sched!("cache.evict");
-                }
-                if generator_map.is_empty() {
-                    options_map.remove(&options);
-                }
-            }
-            if options_map.is_empty() {
-                self.entries.remove(&order);
-            }
-        }
-    }
 }
 
 /// A sharded, thread-safe, capacity-bounded memoization layer over
@@ -701,17 +668,26 @@ impl CacheShard {
 /// When a shard overflows, its oldest inserted entry is evicted first —
 /// deterministic insertion-order (FIFO) eviction, so a long-lived engine's
 /// memory stays bounded without any clock- or randomness-dependent policy.
+///
+/// # Metrics
+///
+/// Every counter lives in one registry ([`SharedGroebnerCache::metrics`]):
+/// `cache.{hits,misses,evictions}` and the `cache.len` resident gauge for
+/// the global layer, the same under `alpha.` for the ring-local layer, the
+/// `cache.shards` gauge, the `lift.*` counters and the
+/// `groebner.reductions` histogram.
 #[derive(Debug)]
 pub struct SharedGroebnerCache {
-    shards: Box<[Mutex<CacheShard>]>,
-    /// The ring-local (α-equivalence) layer, striped independently of the
-    /// global layer because α-equivalent global keys hash to unrelated
-    /// global shards.
-    local_shards: Box<[Mutex<LocalShard>]>,
-    /// The unified registry every counter below (and the per-shard handles
-    /// above) registers into. The batch engine snapshots this registry
-    /// before/after a run and reports the delta — there is no second stats
-    /// bookkeeping path.
+    /// The global layer: requests verbatim → bases.
+    global: Memo<BasisKey, GroebnerBasis>,
+    /// The ring-local (α-equivalence) layer: localized requests → core
+    /// bases in local coordinates. Striped independently of the global
+    /// layer because α-equivalent global keys hash to unrelated global
+    /// shards.
+    alpha: Memo<BasisKey, CoreBasis>,
+    /// The unified registry every counter of the cache registers into. The
+    /// batch engine snapshots this registry before/after a run and reports
+    /// the delta — there is no second stats bookkeeping path.
     metrics: Arc<MetricsRegistry>,
     lift_success: Counter,
     lift_retry: Counter,
@@ -720,7 +696,6 @@ pub struct SharedGroebnerCache {
     crt_primes_used: Counter,
     /// Distribution of S-polynomial reduction counts per core computation.
     reduction_sizes: Histogram,
-    per_shard_capacity: usize,
 }
 
 impl Default for SharedGroebnerCache {
@@ -754,13 +729,10 @@ impl SharedGroebnerCache {
         let shards = config.shards.max(1);
         let per_shard_capacity = config.capacity.max(shards).div_ceil(shards);
         let metrics = Arc::new(MetricsRegistry::new());
+        metrics.gauge("cache.shards").set(shards as i64);
         SharedGroebnerCache {
-            shards: (0..shards)
-                .map(|i| Mutex::new(CacheShard::new(&metrics, i)))
-                .collect(),
-            local_shards: (0..shards)
-                .map(|i| Mutex::new(LocalShard::new(&metrics, i)))
-                .collect(),
+            global: Memo::new(&metrics, GLOBAL_LAYER, shards, per_shard_capacity),
+            alpha: Memo::new(&metrics, ALPHA_LAYER, shards, per_shard_capacity),
             lift_success: metrics.counter("lift.success"),
             lift_retry: metrics.counter("lift.retry"),
             lift_fallback: metrics.counter("lift.fallback"),
@@ -768,7 +740,6 @@ impl SharedGroebnerCache {
             crt_primes_used: metrics.counter("lift.crt_primes"),
             reduction_sizes: metrics.histogram("groebner.reductions"),
             metrics,
-            per_shard_capacity,
         }
     }
 
@@ -784,52 +755,29 @@ impl SharedGroebnerCache {
         self.metrics.snapshot()
     }
 
-    /// The shard a key lives in: a fixed-seed hash, so shard assignment is
-    /// reproducible across runs (eviction behavior at `workers = 1` is a
-    /// deterministic function of the request sequence).
-    fn shard_for(
-        &self,
-        generators: &[Poly],
-        order: &MonomialOrder,
-        options: &GroebnerOptions,
-    ) -> &Mutex<CacheShard> {
-        &self.shards
-            [(global_key_id(generators, order, options) % self.shards.len() as u64) as usize]
-    }
-
-    /// The ring-local shard a localized key lives in (same fixed-seed
-    /// hashing discipline as [`SharedGroebnerCache::shard_for`]).
-    fn local_shard_for(&self, key: &LocalKey) -> &Mutex<LocalShard> {
-        &self.local_shards[(local_key_id(key) % self.local_shards.len() as u64) as usize]
-    }
-
     /// Returns the memoized core basis of a ring-local canonical form,
-    /// computing and inserting it on first use. The compute happens outside
-    /// the shard lock; a lost key race adopts the winner's entry.
-    fn local_basis(&self, key: LocalKey, options: &GroebnerOptions) -> Arc<CoreBasis> {
-        let shard = self.local_shard_for(&key);
-        {
-            let locked = shard.lock();
-            if let Some(hit) = locked.entries.get(&key) {
-                let hit = Arc::clone(hit);
-                locked.hits.inc();
-                trace_sched!("cache.alpha.hit");
-                return hit;
-            }
-            locked.misses.inc();
-            trace_sched!("cache.alpha.miss");
-        }
+    /// computing and inserting it on first use.
+    fn local_basis(&self, key: BasisKey) -> Arc<CoreBasis> {
+        let id = key_id(&key.2, &key.0, &key.1);
+        self.alpha
+            .get_or_compute(id, |k| *k == key, || (key.clone(), self.compute(id, &key)))
+    }
+
+    /// Runs the core computation of a ring-local key and records it: the
+    /// compute-channel stream, the reduction histogram and the lift counters.
+    fn compute(&self, id: u64, key: &BasisKey) -> CoreBasis {
+        let (order, options, generators) = key;
         // Compute-channel scope: the computation below is a pure function of
         // the α-canonical key, so racing duplicate computations record
         // byte-identical streams that collapse onto one key in the collector
         // (DESIGN.md §8). Which lookup computes is scheduling-dependent —
-        // that outcome was reported to the sched channel above.
+        // that outcome was reported to the sched channel.
         // lint:allow(D6): the shared cache IS the compute-channel entry point
         let _compute_scope = symmap_trace::recorder::install_compute_scope(
-            local_key_id(&key),
-            &format!("groebner: {} gens", key.2.len()),
+            id,
+            &format!("groebner: {} gens", generators.len()),
         );
-        let (core, lift) = compute_core(&key.2, &key.0, options);
+        let (core, lift) = compute_core(generators, order, options);
         trace_event!(
             "groebner.core",
             // "Pair selections": every queue pop is either a chain-criterion
@@ -851,22 +799,7 @@ impl SharedGroebnerCache {
             } else {
                 self.lift_fallback.inc();
             }
-            if report.retries > 0 {
-                self.lift_retry.add(report.retries as u64);
-            }
-        }
-        drop(_compute_scope);
-        let core = Arc::new(core);
-        let mut locked = shard.lock();
-        let locked = &mut *locked;
-        if let Some(existing) = locked.entries.get(&key) {
-            return Arc::clone(existing);
-        }
-        locked.entries.insert(key.clone(), Arc::clone(&core));
-        locked.queue.push_back(key);
-        locked.len.set(locked.entries.len() as i64);
-        while locked.entries.len() > self.per_shard_capacity {
-            locked.evict_oldest();
+            self.lift_retry.add(report.retries as u64);
         }
         core
     }
@@ -892,81 +825,43 @@ impl SharedGroebnerCache {
         order: &MonomialOrder,
         options: &GroebnerOptions,
     ) -> Arc<GroebnerBasis> {
+        let id = key_id(generators, order, options);
         // Job-channel request marker: the sequence of basis requests a job
         // makes is a pure function of the job's inputs, so this event is
         // deterministic. The *outcome* (hit vs miss) is scheduling-dependent
-        // and goes to the sched channel below.
-        trace_event!(
-            "cache.request",
-            key = global_key_id(generators, order, options),
-            gens = generators.len(),
-        );
-        let shard = self.shard_for(generators, order, options);
-        {
-            let locked = shard.lock();
-            if let Some(hit) = locked.lookup(generators, order, options) {
-                let hit = Arc::clone(hit);
-                locked.hits.inc();
-                trace_sched!("cache.hit");
-                return hit;
-            }
-            locked.misses.inc();
-            trace_sched!("cache.miss");
-        }
-        // Resolve through the ring-local layer outside the global lock.
-        let (ring, lgens, lorder) = ring_localized(generators, order);
-        let core = self.local_basis((lorder, options.clone(), lgens), options);
-        let gb = Arc::new(basis_from_core(Arc::clone(&core.polys), &core, ring, order));
-        let mut locked = shard.lock();
-        let locked = &mut *locked;
-        if let Some(existing) = locked.lookup(generators, order, options) {
-            // Lost a compute race on this key; adopt the winner's entry.
-            return Arc::clone(existing);
-        }
-        locked
-            .entries
-            .entry(order.clone())
-            .or_default()
-            .entry(options.clone())
-            .or_default()
-            .insert(generators.to_vec(), Arc::clone(&gb));
-        locked
-            .queue
-            .push_back((order.clone(), options.clone(), generators.to_vec()));
-        locked.len.set(locked.queue.len() as i64);
-        while locked.queue.len() > self.per_shard_capacity {
-            locked.evict_oldest();
-        }
-        gb
+        // and goes to the sched channel.
+        trace_event!("cache.request", key = id, gens = generators.len());
+        self.global.get_or_compute(
+            id,
+            |(o, opts, gens)| gens[..] == *generators && o == order && opts == options,
+            || {
+                // Resolve through the ring-local layer outside the global lock.
+                let (ring, lgens, lorder) = ring_localized(generators, order);
+                let core = self.local_basis((lorder, options.clone(), lgens));
+                let gb = GroebnerBasis::from_core(&core, Some(ring), order);
+                ((order.clone(), options.clone(), generators.to_vec()), gb)
+            },
+        )
     }
 
     /// Number of lookups answered from the cache (all shards).
     pub fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().hits.get() as usize)
-            .sum()
+        self.global.hits.get() as usize
     }
 
     /// Number of lookups that had to compute a fresh basis (all shards).
     pub fn misses(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().misses.get() as usize)
-            .sum()
+        self.global.misses.get() as usize
     }
 
     /// Number of entries evicted by the capacity bound (all shards).
     pub fn evictions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().evictions.get() as usize)
-            .sum()
+        self.global.evictions.get() as usize
     }
 
     /// Number of distinct bases currently memoized (all shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().queue.len()).sum()
+        self.global.len.get() as usize
     }
 
     /// Returns `true` when nothing is currently memoized.
@@ -974,74 +869,22 @@ impl SharedGroebnerCache {
         self.len() == 0
     }
 
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total capacity in bases (per-shard slice × shard count).
     pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.len()
-    }
-
-    /// Point-in-time counters of every shard, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheShardStats> {
-        self.shards.iter().map(|s| s.lock().stats()).collect()
+        self.global.per_shard_capacity * self.global.shards.len()
     }
 
     /// Lookups answered by the ring-local layer: the global key was new, but
     /// an α-equivalent request had already computed the core basis (all
     /// shards).
     pub fn alpha_hits(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().hits.get() as usize)
-            .sum()
+        self.alpha.hits.get() as usize
     }
 
     /// Ring-local canonical forms that had to run the Buchberger core (all
     /// shards). Every global miss is either an α-hit or an α-miss.
     pub fn alpha_misses(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().misses.get() as usize)
-            .sum()
-    }
-
-    /// Entries evicted from the ring-local layer by the capacity bound.
-    pub fn alpha_evictions(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().evictions.get() as usize)
-            .sum()
-    }
-
-    /// Distinct ring-local canonical forms currently memoized.
-    pub fn alpha_len(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().entries.len())
-            .sum()
-    }
-
-    /// Point-in-time counters of every ring-local shard, in shard order
-    /// (`hits` are α-hits; see [`SharedGroebnerCache::alpha_hits`]).
-    pub fn alpha_shard_stats(&self) -> Vec<CacheShardStats> {
-        self.local_shards.iter().map(|s| s.lock().stats()).collect()
-    }
-
-    /// Point-in-time counters of the multi-modular lift. Counter totals
-    /// under concurrency are timing-dependent (like the shard stats), but
-    /// the lifted *bases* never are — every lift is verified over ℚ and the
-    /// exact engine answers whenever verification balks.
-    pub fn lift_stats(&self) -> LiftStats {
-        LiftStats {
-            lift_success: self.lift_success.get() as usize,
-            lift_retry: self.lift_retry.get() as usize,
-            lift_fallback: self.lift_fallback.get() as usize,
-            lift_bypass: self.lift_bypass.get() as usize,
-            crt_primes_used: self.crt_primes_used.get() as usize,
-        }
+        self.alpha.misses.get() as usize
     }
 
     /// Always `None`: a leftover of the removed mod-p membership prefilter,
@@ -1058,21 +901,14 @@ impl SharedGroebnerCache {
     }
 }
 
-/// The fixed-seed hash of a ring-local key: shard selector, compute-channel
-/// stream id and trace label, all from one value so they agree. The
+/// The fixed-seed hash of a cache key — of a request in the global layer,
+/// of its ring-local form in the α-layer. It picks the memo shard and
+/// bucket, and serves as the job-channel request marker (`cache.request`)
+/// and the compute-channel stream id, all from one value so they agree. The
 /// `DefaultHasher` here is constructed with fixed keys, so ids are
-/// reproducible across runs — the same discipline
-/// [`SharedGroebnerCache::shard_for`] has always relied on.
-fn local_key_id(key: &LocalKey) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The fixed-seed hash of a global cache key, used as the job-channel
-/// request marker (`cache.request`): a pure function of the request, so the
-/// marker sequence is deterministic per job.
-fn global_key_id(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> u64 {
+/// reproducible across runs: shard assignment, and with it eviction at
+/// `workers = 1`, is a deterministic function of the request sequence.
+fn key_id(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> u64 {
     let mut hasher = DefaultHasher::new();
     order.hash(&mut hasher);
     options.hash(&mut hasher);
@@ -1255,9 +1091,10 @@ mod tests {
         // included.
         assert_eq!(via_lift.polys(), via_exact.polys());
         assert_eq!(via_lift.reductions, via_exact.reductions);
-        let stats = cache.lift_stats();
-        assert_eq!((stats.lift_success, stats.lift_fallback), (1, 0));
-        assert!(stats.crt_primes_used >= 1);
+        let stats = cache.metrics_snapshot();
+        assert_eq!(stats.counter("lift.success"), 1);
+        assert_eq!(stats.counter("lift.fallback"), 0);
+        assert!(stats.counter("lift.crt_primes") >= 1);
         // An iteration-starved run cannot produce a certifiable lift: the
         // engine falls back to (equally starved) exact Buchberger rather
         // than hand out an unverified basis.
@@ -1291,7 +1128,7 @@ mod tests {
             ),
             (0, 0, 1)
         );
-        assert_eq!(cache.lift_stats().lift_bypass, 1);
+        assert_eq!(cache.metrics_snapshot().counter("lift.bypass"), 1);
     }
 
     #[test]
@@ -1627,7 +1464,10 @@ mod tests {
         let order = MonomialOrder::lex(&["x"]);
         let opts = GroebnerOptions::default();
         for i in 1..40_i64 {
-            let gens = [p("x").scale(&symmap_numeric::Rational::integer(i))];
+            // Distinct constants → distinct local keys (constants survive
+            // localization verbatim), so the α-layer churns like the global
+            // layer and must respect the same bound.
+            let gens = [p("x").add(&Poly::integer(i))];
             cache.basis(&gens, &order, &opts);
         }
         assert!(
@@ -1637,13 +1477,12 @@ mod tests {
             cache.capacity()
         );
         assert!(cache.evictions() > 0);
-        let stats = cache.shard_stats();
-        assert_eq!(stats.len(), 2);
-        let (hits, misses): (usize, usize) = (
-            stats.iter().map(|s| s.hits).sum(),
-            stats.iter().map(|s| s.misses).sum(),
-        );
-        assert_eq!((hits, misses), (cache.hits(), cache.misses()));
+        assert_eq!((cache.hits(), cache.misses()), (0, 39));
+        let stats = cache.metrics_snapshot();
+        assert_eq!(stats.gauge("cache.shards"), 2);
+        assert_eq!(stats.gauge("cache.len") as usize, cache.len());
+        assert!(stats.gauge("alpha.len") as usize <= cache.capacity());
+        assert!(stats.counter("alpha.evictions") > 0);
     }
 
     #[test]
@@ -1762,7 +1601,7 @@ mod tests {
             ),
             (0, 2, 1, 1)
         );
-        assert_eq!(cache.alpha_len(), 1);
+        assert_eq!(cache.metrics_snapshot().gauge("alpha.len"), 1);
         assert_eq!(cache.len(), 2, "both global keys stay resident");
         // The shared core globalizes into each ring correctly: the renamed
         // basis is the renamed image of the original (4 elements each), and
@@ -1785,34 +1624,13 @@ mod tests {
             (3, 2, 1)
         );
         assert_eq!(gb_pad.polys(), gb_a.polys());
-        let stats_sum: usize = cache.alpha_shard_stats().iter().map(|s| s.hits).sum();
-        assert_eq!(stats_sum, cache.alpha_hits());
-        assert_eq!(cache.alpha_evictions(), 0);
+        assert_eq!(cache.metrics_snapshot().counter("alpha.evictions"), 0);
     }
 
     #[test]
-    fn alpha_layer_stays_bounded_under_churn() {
-        let cache = SharedGroebnerCache::with_config(CacheConfig {
-            shards: 2,
-            capacity: 4,
-        });
-        let order = MonomialOrder::lex(&["x"]);
-        let opts = GroebnerOptions::default();
-        for i in 1..40_i64 {
-            // Distinct constants → distinct local keys (constants survive
-            // localization verbatim), so the α-layer churns like the global
-            // layer and must respect the same bound.
-            let gens = [p("x").add(&Poly::integer(i))];
-            cache.basis(&gens, &order, &opts);
-        }
-        assert!(cache.alpha_len() <= cache.capacity());
-        assert!(cache.alpha_evictions() > 0);
-    }
-
-    #[test]
-    fn shard_deltas_come_from_the_metrics_registry() {
-        // The bespoke `CacheShardStats::delta_since` is gone; shard activity
-        // windows are computed through the shared registry snapshot instead.
+    fn layer_deltas_come_from_the_metrics_registry() {
+        // Per-batch windows are registry snapshot deltas over the per-layer
+        // counters; the resident count is a gauge, so it keeps its level.
         let cache = SharedGroebnerCache::new();
         let order = MonomialOrder::lex(&["x", "y"]);
         let opts = GroebnerOptions::default();
@@ -1821,16 +1639,42 @@ mod tests {
         let before = cache.metrics_snapshot();
         cache.basis(&gens, &order, &opts); // pure hit
         let delta = cache.metrics_snapshot().delta_since(&before);
-        assert_eq!(delta.sum_matching("cache.shard.", ".hits"), 1);
-        assert_eq!(delta.sum_matching("cache.shard.", ".misses"), 0);
-        // Gauges report the current level, not a flow: len survives the delta.
-        let len_total: i64 = delta
-            .gauges
-            .iter()
-            .filter(|(n, _)| n.starts_with("cache.shard.") && n.ends_with(".len"))
-            .map(|(_, v)| *v)
-            .sum();
-        assert_eq!(len_total as usize, cache.len());
+        assert_eq!(delta.counter("cache.hits"), 1);
+        assert_eq!(delta.counter("cache.misses"), 0);
+        assert_eq!(
+            delta.counter("alpha.hits") + delta.counter("alpha.misses"),
+            0
+        );
+        assert_eq!(delta.gauge("cache.len") as usize, cache.len());
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn memo_resolves_colliding_ids_by_key_and_evicts_in_fifo_order() {
+        let metrics = MetricsRegistry::new();
+        let memo: Memo<&str, u32> = Memo::new(&metrics, GLOBAL_LAYER, 1, 2);
+        let get = |key: &'static str, id: u64, value: u32| {
+            *memo.get_or_compute(id, |k| *k == key, || (key, value))
+        };
+        // Two distinct keys under one id each keep their own value.
+        assert_eq!(get("a", 7, 1), 1);
+        assert_eq!(get("b", 7, 2), 2);
+        assert_eq!(get("a", 7, 10), 1, "a hit must not recompute");
+        assert_eq!(get("b", 7, 20), 2, "a hit must not recompute");
+        assert_eq!(
+            (memo.hits.get(), memo.misses.get(), memo.len.get()),
+            (2, 2, 2)
+        );
+        // A third key evicts the oldest insertion, `a`, not its bucket-mate.
+        assert_eq!(get("c", 9, 3), 3);
+        assert_eq!((memo.evictions.get(), memo.len.get()), (1, 2));
+        assert_eq!(get("b", 7, 20), 2);
+        // `a` is computed afresh, which evicts `b`, the next oldest.
+        assert_eq!(get("a", 7, 11), 11);
+        assert_eq!(get("c", 9, 30), 3);
+        assert_eq!(get("b", 7, 21), 21);
+        assert_eq!((memo.evictions.get(), memo.len.get()), (3, 2));
+        assert_eq!(metrics.snapshot().counter("cache.misses"), 5);
     }
 
     proptest! {

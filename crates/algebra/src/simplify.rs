@@ -157,27 +157,14 @@ pub fn simplify_modulo(
     relations: &SideRelations,
     var_order: &[&str],
 ) -> Result<Poly, AlgebraError> {
-    Ok(simplify_modulo_detailed(target, relations, var_order, &GroebnerOptions::default())?.result)
-}
-
-/// Like [`simplify_modulo`], but returns the full [`Simplification`] record and
-/// accepts explicit [`GroebnerOptions`] (used by the ablation benchmarks).
-///
-/// # Errors
-///
-/// Currently infallible for valid [`SideRelations`]; see [`simplify_modulo`].
-pub fn simplify_modulo_detailed(
-    target: &Poly,
-    relations: &SideRelations,
-    var_order: &[&str],
-    options: &GroebnerOptions,
-) -> Result<Simplification, AlgebraError> {
     let order = listed_order(target, relations, var_order);
-    simplify_in_order(target, relations, &order, options, None)
+    let options = GroebnerOptions::default();
+    Ok(simplify_in_order(target, relations, &order, &options, None)?.result)
 }
 
-/// Like [`simplify_modulo_detailed`], but looks the Gröbner basis up in (and
-/// stores it into) `cache`, so repeated simplifications against the same
+/// Like [`simplify_modulo`], but returns the full [`Simplification`] record,
+/// accepts explicit [`GroebnerOptions`], and looks the Gröbner basis up in
+/// (and stores it into) `cache`, so repeated simplifications against the same
 /// side-relation set and variable order compute the basis once.
 ///
 /// # Errors
@@ -449,17 +436,23 @@ mod tests {
 
     #[test]
     fn detailed_reports_reduction_work() {
+        let cache = SharedGroebnerCache::new();
         let mut sr = SideRelations::new();
         sr.push("s", p("x + y")).unwrap();
         sr.push("q", p("x^2 - y")).unwrap();
-        let d = simplify_modulo_detailed(
+        let d = simplify_modulo_cached(
             &p("x^3 + x*y + y^2"),
             &sr,
             &["x", "y", "s", "q"],
             &GroebnerOptions::default(),
+            &cache,
         )
         .unwrap();
         assert!(d.complete);
         assert_eq!(sr.expand_back(&d.result), p("x^3 + x*y + y^2"));
+        // The record carries the reduction count of the one basis computed.
+        let computed = &cache.metrics_snapshot().histograms["groebner.reductions"];
+        assert_eq!((computed.count, computed.sum), (1, d.reductions as u64));
+        assert!(d.reductions > 0);
     }
 }

@@ -1,6 +1,7 @@
 //! Model of the shared Gröbner cache's compute-outside-lock / adopt-winner
-//! shard protocol (`crates/algebra/src/groebner.rs`, `basis` /
-//! `local_basis`).
+//! shard protocol: `Memo::get_or_compute` in
+//! `crates/algebra/src/groebner.rs`, the one implementation behind both
+//! cache layers (the global `basis` layer and the ring-local α-layer).
 //!
 //! The real protocol, per thread, for one cache key:
 //!

@@ -8,8 +8,10 @@
 //! groebner_engine` — whenever the twisted cubic or the mapper's
 //! side-relation ideal exceeds its fixed reduction budget.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, Criterion};
-use symmap_algebra::groebner::{buchberger, GroebnerOptions};
+use symmap_algebra::groebner::{buchberger, GroebnerOptions, SharedGroebnerCache};
 use symmap_algebra::poly::Poly;
 use symmap_bench::budgets;
 use symmap_core::decompose::{Mapper, MapperConfig};
@@ -114,12 +116,13 @@ fn bench(c: &mut Criterion) {
     lib.push(element("diff", "d", "x - y", 3));
     lib.push(element("prod", "q", "x*y", 5));
     lib.push(element("sq_x", "sx", "x^2", 4));
-    let mapper = Mapper::new(&lib, MapperConfig::default());
+    let cache = Arc::new(SharedGroebnerCache::new());
+    let mapper = Mapper::with_shared_cache(&lib, MapperConfig::default(), Arc::clone(&cache));
     let target = p("x^4 - y^4 + x^2*y^2");
     mapper.map_polynomial(&target).unwrap();
-    let (_, misses_cold) = mapper.cache_stats();
+    let misses_cold = cache.misses();
     mapper.map_polynomial(&target).unwrap();
-    let (hits_warm, misses_warm) = mapper.cache_stats();
+    let (hits_warm, misses_warm) = (cache.hits(), cache.misses());
     println!(
         "mapper memoization: {misses_cold} bases computed cold, repeat run {} hits / {} new bases\n",
         hits_warm,

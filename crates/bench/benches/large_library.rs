@@ -63,15 +63,15 @@ fn assert_identical_solutions(library: &Arc<Library>) -> (usize, usize, usize) {
         format!("{:?}", off.outcomes),
         "fingerprint index changed the mapped solutions"
     );
-    assert!(on.stats.index_kept > 0, "the index kept no candidates");
+    assert!(on.stats.index_kept() > 0, "the index kept no candidates");
     assert!(
-        on.stats.index_rejected > on.stats.index_kept,
+        on.stats.index_rejected() > on.stats.index_kept(),
         "a redundant synthetic library should prune more than it keeps"
     );
     (
-        on.stats.index_rejected,
-        on.stats.index_kept,
-        on.stats.index_shards_skipped,
+        on.stats.index_rejected(),
+        on.stats.index_kept(),
+        on.stats.index_shards_skipped(),
     )
 }
 

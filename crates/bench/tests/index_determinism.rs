@@ -40,13 +40,13 @@ fn assert_index_invisible(jobs: impl Fn(&MapperConfig) -> Vec<MapJob>) -> (usize
             let result = engine(workers).run(&jobs(&config(index)));
             if index {
                 prune = (
-                    result.stats.index_rejected,
-                    result.stats.index_kept,
-                    result.stats.index_shards_skipped,
+                    result.stats.index_rejected(),
+                    result.stats.index_kept(),
+                    result.stats.index_shards_skipped(),
                 );
             } else {
                 assert_eq!(
-                    result.stats.index_rejected + result.stats.index_kept,
+                    result.stats.index_rejected() + result.stats.index_kept(),
                     0,
                     "index counters moved with the index off"
                 );

@@ -131,12 +131,6 @@ impl OptimizationPipeline {
         &self.engine
     }
 
-    /// `(hits, misses)` of the shared Gröbner-basis memoization layer.
-    pub fn groebner_cache_stats(&self) -> (usize, usize) {
-        let cache = self.engine.cache();
-        (cache.hits(), cache.misses())
-    }
-
     /// Step 2: profile the original (reference) decoder on one frame and
     /// identify every mappable procedure (the paper maps everything that can
     /// be written as a polynomial, however small).
@@ -158,7 +152,7 @@ impl OptimizationPipeline {
     }
 
     /// Like [`map_decoder`](OptimizationPipeline::map_decoder), but also
-    /// returns the engine's batch statistics (jobs, steals, per-shard cache
+    /// returns the engine's batch statistics (jobs, steals, per-layer cache
     /// counters, wall time) for reporting.
     pub fn map_decoder_with_stats(
         &self,
@@ -390,12 +384,13 @@ mod tests {
         let badge = Badge4::new();
         let pipeline = small_pipeline(catalog::full_catalog(&badge));
         pipeline.map_decoder();
-        let (hits_first, misses_first) = pipeline.groebner_cache_stats();
+        let cache = pipeline.engine().cache();
+        let (hits_first, misses_first) = (cache.hits(), cache.misses());
         assert!(misses_first > 0, "first run must populate the cache");
         // The second mapping pass prices the same side-relation sets and is
         // answered from the shared cache without a single new basis.
         pipeline.map_decoder();
-        let (hits_second, misses_second) = pipeline.groebner_cache_stats();
+        let (hits_second, misses_second) = (cache.hits(), cache.misses());
         assert!(hits_second > hits_first);
         assert_eq!(
             misses_second, misses_first,

@@ -132,7 +132,7 @@ pub fn render_table6(versions: &[CodeVersion]) -> String {
 }
 
 /// The batch engine's run report: job volume, worker scheduling and the
-/// shared Gröbner cache's per-shard activity for one mapping batch.
+/// shared Gröbner cache's activity for one mapping batch.
 pub fn render_engine_stats(stats: &EngineStats) -> String {
     let mut out = format!(
         "Batch engine: {} jobs on {} workers ({} steals) in {:.3} ms\n",
@@ -147,7 +147,7 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         stats.cache_misses(),
         stats.cache_evictions(),
         stats.cache_len(),
-        stats.cache_shards.len(),
+        stats.cache_shard_count(),
     ));
     out.push_str(&format!(
         "  ring-local sharing: {} α-hits / {} Buchberger cores run \
@@ -155,36 +155,26 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         stats.cache_alpha_hits(),
         stats.cache_alpha_misses(),
     ));
-    if stats.lift_success + stats.lift_retry + stats.lift_fallback + stats.lift_bypass > 0 {
+    if stats.lift_success() + stats.lift_retry() + stats.lift_fallback() + stats.lift_bypass() > 0 {
         out.push_str(&format!(
             "  multi-modular lift: {} verified lifts ({} prime images CRT-combined) / \
              {} retries / {} exact fallbacks / {} gate bypasses\n",
-            stats.lift_success,
-            stats.crt_primes_used,
-            stats.lift_retry,
-            stats.lift_fallback,
-            stats.lift_bypass,
+            stats.lift_success(),
+            stats.crt_primes_used(),
+            stats.lift_retry(),
+            stats.lift_fallback(),
+            stats.lift_bypass(),
         ));
     }
-    if stats.index_rejected + stats.index_kept > 0 {
+    let (rejected, kept) = (stats.index_rejected(), stats.index_kept());
+    if rejected + kept > 0 {
         out.push_str(&format!(
             "  fingerprint index: {} elements pruned / {} kept \
              ({} shards skipped whole, {:.1}% prune rate)\n",
-            stats.index_rejected,
-            stats.index_kept,
-            stats.index_shards_skipped,
-            100.0 * stats.index_rejected as f64
-                / (stats.index_rejected + stats.index_kept).max(1) as f64,
-        ));
-    }
-    for (i, shard) in stats.cache_shards.iter().enumerate() {
-        // Shards untouched by the batch (and currently empty) add no signal.
-        if shard.hits + shard.misses + shard.evictions + shard.len == 0 {
-            continue;
-        }
-        out.push_str(&format!(
-            "    shard {i}: {:>5} hits {:>5} misses {:>4} evictions {:>5} resident\n",
-            shard.hits, shard.misses, shard.evictions, shard.len
+            rejected,
+            kept,
+            stats.index_shards_skipped(),
+            100.0 * rejected as f64 / (rejected + kept).max(1) as f64,
         ));
     }
     // Per-phase breakdown over the unified registry window: every counter

@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use symmap_algebra::groebner::{CacheConfig, CacheShardStats, SharedGroebnerCache};
+use symmap_algebra::groebner::{CacheConfig, SharedGroebnerCache};
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::Var;
 use symmap_libchar::Library;
@@ -128,10 +128,13 @@ impl MapJob {
 
 /// What one batch run did: volume, scheduling and cache activity.
 ///
-/// Every cache/probe/lift field below is *derived* from one
-/// [`MetricsSnapshot`] delta over the shared registry
-/// ([`SharedGroebnerCache::metrics`]) — the named fields are the stable
-/// convenience view, [`EngineStats::metrics`] is the full window.
+/// Cache, lift and index activity is read from one [`MetricsSnapshot`]
+/// delta over the shared registry ([`SharedGroebnerCache::metrics`]): the
+/// accessors below are named views of [`EngineStats::metrics`]. The
+/// registry is global to the shared cache, so when several engines share
+/// one cache and run batches *concurrently*, a batch's deltas include the
+/// concurrent batches' activity; with one batch in flight at a time (how
+/// every in-repo consumer runs) they are exactly this batch's.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
     /// Jobs in the batch.
@@ -143,83 +146,102 @@ pub struct EngineStats {
     pub steals: usize,
     /// Wall time of the batch, including result collection.
     pub wall: Duration,
-    /// Per-shard cache counters over this batch's run (`len` is the shard's
-    /// current resident count). The counters are global to the shared cache,
-    /// so when several engines share one cache and run batches
-    /// *concurrently*, a batch's deltas include the concurrent batches'
-    /// activity; with one batch in flight at a time (how every in-repo
-    /// consumer runs) they are exactly this batch's.
-    pub cache_shards: Vec<CacheShardStats>,
-    /// Per-shard counters of the cache's ring-local (α-equivalence) layer
-    /// over this batch's run: `hits` are lookups whose global key was new
-    /// but whose ring-local canonical form — the same side-relation ideal up
-    /// to variable renaming, or up to order entries outside the ideal's ring
-    /// — was already memoized, so only a cheap globalization ran instead of
-    /// a Buchberger computation.
-    pub alpha_shards: Vec<CacheShardStats>,
-    /// Basis computations settled by the verified multi-modular lift this
-    /// batch (no exact Buchberger run). Zero unless jobs carried
-    /// `GroebnerOptions::multimodular`.
-    pub lift_success: usize,
-    /// Reconstruction/verification rounds that failed and forced another
-    /// prime this batch.
-    pub lift_retry: usize,
-    /// Basis computations the lift could not certify this batch, answered by
-    /// the exact fallback.
-    pub lift_fallback: usize,
-    /// Mod-p prime images feeding the successful lifts' CRT combines this
-    /// batch.
-    pub crt_primes_used: usize,
-    /// Basis requests the lift-profitability gate routed straight to the
-    /// exact engine this batch (small all-integer ideals).
-    pub lift_bypass: usize,
-    /// Library shards dismissed whole by the fingerprint index's support
-    /// test across this batch's candidate scans.
-    pub index_shards_skipped: usize,
-    /// Elements pruned by the fingerprint index without touching their
-    /// polynomials this batch.
-    pub index_rejected: usize,
-    /// Elements that survived candidate pruning this batch.
-    pub index_kept: usize,
-    /// The full metrics window this batch's named fields were derived from:
-    /// every counter/histogram as a delta over the run, every gauge at its
-    /// post-run level. Includes metrics with no named field (e.g. the
-    /// `groebner.reductions` histogram and `pool.steals`).
+    /// The batch's metrics window: every counter/histogram as a delta over
+    /// the run, every gauge at its post-run level.
     pub metrics: MetricsSnapshot,
 }
 
 impl EngineStats {
+    fn count(&self, name: &str) -> usize {
+        self.metrics.counter(name) as usize
+    }
+
     /// Cache lookups answered from the shared cache during this batch.
     pub fn cache_hits(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.hits).sum()
+        self.count("cache.hits")
     }
 
     /// Cache lookups that computed a fresh basis during this batch.
     pub fn cache_misses(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.misses).sum()
+        self.count("cache.misses")
     }
 
     /// Cache entries evicted by the capacity bound during this batch.
     pub fn cache_evictions(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.evictions).sum()
+        self.count("cache.evictions")
     }
 
     /// Bases resident in the shared cache after the batch.
     pub fn cache_len(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.len).sum()
+        self.metrics.gauge("cache.len") as usize
     }
 
-    /// Global-key misses answered by the ring-local layer during this batch
-    /// (an α-equivalent ideal's core basis was reused; see
-    /// [`EngineStats::alpha_shards`]).
+    /// Lock shards of the shared cache.
+    pub fn cache_shard_count(&self) -> usize {
+        self.metrics.gauge("cache.shards") as usize
+    }
+
+    /// Global-key misses answered by the ring-local layer during this batch:
+    /// the request's ring-local canonical form — the same side-relation
+    /// ideal up to variable renaming, or up to order entries outside the
+    /// ideal's ring — was already memoized, so only a cheap globalization
+    /// ran instead of a Buchberger computation.
     pub fn cache_alpha_hits(&self) -> usize {
-        self.alpha_shards.iter().map(|s| s.hits).sum()
+        self.count("alpha.hits")
     }
 
     /// Ring-local canonical forms that ran the Buchberger core during this
     /// batch — the batch's real basis-computation count.
     pub fn cache_alpha_misses(&self) -> usize {
-        self.alpha_shards.iter().map(|s| s.misses).sum()
+        self.count("alpha.misses")
+    }
+
+    /// Basis computations settled by the verified multi-modular lift this
+    /// batch (no exact Buchberger run). Zero unless jobs carried
+    /// `GroebnerOptions::multimodular`.
+    pub fn lift_success(&self) -> usize {
+        self.count("lift.success")
+    }
+
+    /// Reconstruction/verification rounds that failed and forced another
+    /// prime this batch.
+    pub fn lift_retry(&self) -> usize {
+        self.count("lift.retry")
+    }
+
+    /// Basis computations the lift could not certify this batch, answered by
+    /// the exact fallback.
+    pub fn lift_fallback(&self) -> usize {
+        self.count("lift.fallback")
+    }
+
+    /// Basis requests the lift-profitability gate routed straight to the
+    /// exact engine this batch (small all-integer ideals).
+    pub fn lift_bypass(&self) -> usize {
+        self.count("lift.bypass")
+    }
+
+    /// Mod-p prime images feeding the successful lifts' CRT combines this
+    /// batch.
+    pub fn crt_primes_used(&self) -> usize {
+        self.count("lift.crt_primes")
+    }
+
+    /// Library shards dismissed whole by the fingerprint index's support
+    /// test across this batch's candidate scans.
+    pub fn index_shards_skipped(&self) -> usize {
+        self.count("index.shards_skipped")
+    }
+
+    /// Elements pruned by the fingerprint index without touching their
+    /// polynomials this batch.
+    pub fn index_rejected(&self) -> usize {
+        self.count("index.rejected")
+    }
+
+    /// Elements that survived candidate pruning this batch.
+    pub fn index_kept(&self) -> usize {
+        self.count("index.kept")
     }
 }
 
@@ -351,8 +373,7 @@ impl MappingEngine {
         );
         steal_counter.add(pool_stats.steals as u64);
 
-        let delta = self.cache.metrics_snapshot().delta_since(&before);
-        let shard_count = self.cache.shard_count();
+        let metrics = self.cache.metrics_snapshot().delta_since(&before);
         BatchResult {
             outcomes,
             stats: EngineStats {
@@ -360,17 +381,7 @@ impl MappingEngine {
                 workers: pool_stats.workers,
                 steals: pool_stats.steals,
                 wall: start.elapsed(),
-                cache_shards: shard_deltas(&delta, "cache.shard", shard_count),
-                alpha_shards: shard_deltas(&delta, "alpha.shard", shard_count),
-                lift_success: delta.counter("lift.success") as usize,
-                lift_retry: delta.counter("lift.retry") as usize,
-                lift_fallback: delta.counter("lift.fallback") as usize,
-                crt_primes_used: delta.counter("lift.crt_primes") as usize,
-                lift_bypass: delta.counter("lift.bypass") as usize,
-                index_shards_skipped: delta.counter("index.shards_skipped") as usize,
-                index_rejected: delta.counter("index.rejected") as usize,
-                index_kept: delta.counter("index.kept") as usize,
-                metrics: delta,
+                metrics,
             },
             trace: collector.map(|c| c.finalize()),
         }
@@ -398,20 +409,6 @@ impl SchedObserver for PoolTraceAdapter {
         self.collector
             .sched_event(Some(worker), "pool.finish", &[("job", index as u64)]);
     }
-}
-
-/// Rebuilds the per-shard counter view from the registry delta: counters
-/// (`hits`/`misses`/`evictions`) are windowed, `len` is the post-run level
-/// (gauges survive `delta_since` at their current value).
-fn shard_deltas(delta: &MetricsSnapshot, family: &str, shard_count: usize) -> Vec<CacheShardStats> {
-    (0..shard_count)
-        .map(|i| CacheShardStats {
-            hits: delta.counter(&format!("{family}.{i}.hits")) as usize,
-            misses: delta.counter(&format!("{family}.{i}.misses")) as usize,
-            evictions: delta.counter(&format!("{family}.{i}.evictions")) as usize,
-            len: delta.gauge(&format!("{family}.{i}.len")) as usize,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -509,7 +506,10 @@ mod tests {
             "jobs over the same library must share side-relation bases"
         );
         assert_eq!(batch.stats.cache_len(), engine.cache().len());
-        assert_eq!(batch.stats.cache_shards.len(), engine.cache().shard_count());
+        assert_eq!(
+            batch.stats.cache_shard_count(),
+            engine.config().cache_shards
+        );
         // A repeated batch is answered from the cache: no new bases.
         let again = engine.run(&jobs);
         assert_eq!(again.stats.cache_misses(), 0);

@@ -139,24 +139,6 @@ impl Mapper {
         &self.config
     }
 
-    /// `(hits, misses)` of the Gröbner-basis memoization layer.
-    pub fn cache_stats(&self) -> (usize, usize) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
-    /// `(α-hits, α-misses)` of the cache's ring-local layer. The search
-    /// prices each element subset by building its side-relation ideal and
-    /// reducing the target modulo a basis computed in **ring-local
-    /// coordinates** (a `Ring` spanning the side relations is built once per
-    /// ideal); an α-hit means the subset's ideal was structurally identical
-    /// — up to variable renaming, or up to target-only variables in the
-    /// default order — to one already priced, so its basis came from the
-    /// shared core instead of a fresh Buchberger run. α-misses count the
-    /// Buchberger computations that actually ran.
-    pub fn cache_alpha_stats(&self) -> (usize, usize) {
-        (self.cache.alpha_hits(), self.cache.alpha_misses())
-    }
-
     /// Maps a target polynomial onto the library, returning the best solution
     /// found.
     ///
@@ -580,14 +562,14 @@ mod tests {
         lib.push(element("prod", "q", "x*y", 5, 1e-9));
         let mapper = Mapper::new(&lib, MapperConfig::default());
         mapper.map_polynomial(&p("x^2 + 2*x*y + y^2")).unwrap();
-        let (hits_first, misses_first) = mapper.cache_stats();
+        let (hits_first, misses_first) = (mapper.cache.hits(), mapper.cache.misses());
         assert!(misses_first > 0);
         // A second target over the same variables prices the same element
         // subsets, so its side-relation bases come from the cache.
         mapper
             .map_polynomial(&p("x^2 + 2*x*y + y^2 + x*y"))
             .unwrap();
-        let (hits_second, misses_second) = mapper.cache_stats();
+        let (hits_second, misses_second) = (mapper.cache.hits(), mapper.cache.misses());
         assert!(
             hits_second > hits_first,
             "second target produced no cache hits ({hits_first} -> {hits_second})"
@@ -595,7 +577,7 @@ mod tests {
         // Mapping the first target again is answered entirely from the cache
         // (the deterministic search re-prices exactly the same subsets).
         mapper.map_polynomial(&p("x^2 + 2*x*y + y^2")).unwrap();
-        assert_eq!(mapper.cache_stats().1, misses_second);
+        assert_eq!(mapper.cache.misses(), misses_second);
     }
 
     #[test]
@@ -617,7 +599,7 @@ mod tests {
         let sol_a = mapper_a
             .map_polynomial(&p("ax^2 + 2*ax*ay + ay^2"))
             .unwrap();
-        let (alpha_hits_a, alpha_misses_a) = mapper_a.cache_alpha_stats();
+        let (alpha_hits_a, alpha_misses_a) = (cache.alpha_hits(), cache.alpha_misses());
         assert_eq!(alpha_hits_a, 0, "first library has nothing to α-share");
         assert!(alpha_misses_a > 0);
 
@@ -626,7 +608,7 @@ mod tests {
         let sol_b = mapper_b
             .map_polynomial(&p("bx^2 + 2*bx*by + by^2"))
             .unwrap();
-        let (alpha_hits_b, alpha_misses_b) = mapper_b.cache_alpha_stats();
+        let (alpha_hits_b, alpha_misses_b) = (cache.alpha_hits(), cache.alpha_misses());
         assert_eq!(
             alpha_misses_b, alpha_misses_a,
             "the renamed search must not run a single new Buchberger core"

@@ -114,10 +114,10 @@ fn multimodular_mapping_is_byte_identical_at_any_worker_count() {
         for workers in [1, 4] {
             let result = engine(workers).run(&jobs(multimodular));
             if multimodular {
-                let engaged = result.stats.lift_success + result.stats.lift_fallback;
+                let engaged = result.stats.lift_success() + result.stats.lift_fallback();
                 assert!(engaged >= 1, "the lift never engaged at {workers} workers");
                 assert!(
-                    result.stats.lift_bypass >= 1,
+                    result.stats.lift_bypass() >= 1,
                     "the profitability gate never bypassed at {workers} workers"
                 );
             }

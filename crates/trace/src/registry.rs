@@ -1,11 +1,10 @@
 //! The unified metrics registry: counters, gauges and histograms behind one
 //! snapshot/delta facade.
 //!
-//! Before this module the workspace carried three parallel hand-rolled stat
-//! idioms — per-shard cache counter structs, the fp-probe counters and
-//! `LiftStats`, each with its own `delta_since` — plus the pool's steal
-//! count. All of them are now handles registered here; the **single**
-//! delta implementation is [`MetricsSnapshot::delta_since`].
+//! Every counter in the workspace — the Gröbner cache's per-layer counters,
+//! the lift counters, the fingerprint index and the pool's steal count — is
+//! a handle registered here; the **single** delta implementation is
+//! [`MetricsSnapshot::delta_since`].
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared atomics:
 //! registration takes a lock once, every subsequent increment is lock-free.
@@ -45,7 +44,7 @@ impl Counter {
     }
 }
 
-/// A last-write-wins gauge handle (e.g. current cache-shard length).
+/// A level gauge handle (e.g. the number of bases a cache holds).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -54,6 +53,13 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Moves the gauge by `n` (negative to lower it), for a level that
+    /// several writers change.
+    #[inline]
+    pub fn add(&self, n: i64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -262,17 +268,6 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// Sum of every counter whose name starts with `prefix` and ends with
-    /// `suffix` — e.g. `sum_matching("cache.shard.", ".hits")` totals the
-    /// per-shard hit counters.
-    pub fn sum_matching(&self, prefix: &str, suffix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix) && name.ends_with(suffix))
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
     /// Machine-readable JSON rendering (`{"counters": {...}, "gauges":
     /// {...}, "histograms": {...}}`). Names are registry-controlled ASCII,
     /// but escaped anyway so the output is valid JSON for any name.
@@ -348,15 +343,16 @@ mod tests {
     #[test]
     fn counters_gauges_histograms_register_once_and_share_handles() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter("cache.shard.0.hits");
-        let b = registry.counter("cache.shard.0.hits");
+        let a = registry.counter("cache.hits");
+        let b = registry.counter("cache.hits");
         a.inc();
         b.add(2);
-        assert_eq!(registry.counter("cache.shard.0.hits").get(), 3);
+        assert_eq!(registry.counter("cache.hits").get(), 3);
 
-        let g = registry.gauge("cache.shard.0.len");
+        let g = registry.gauge("cache.len");
         g.set(7);
-        assert_eq!(registry.gauge("cache.shard.0.len").get(), 7);
+        registry.gauge("cache.len").add(-2);
+        assert_eq!(registry.gauge("cache.len").get(), 5);
 
         let h = registry.histogram("groebner.reductions");
         h.observe(0);
@@ -394,19 +390,6 @@ mod tests {
         registry.counter("new").add(4);
         let delta2 = registry.snapshot().delta_since(&before);
         assert_eq!(delta2.counter("new"), 4);
-    }
-
-    #[test]
-    fn sum_matching_totals_shard_families() {
-        let registry = MetricsRegistry::new();
-        registry.counter("cache.shard.0.hits").add(2);
-        registry.counter("cache.shard.1.hits").add(3);
-        registry.counter("cache.shard.0.misses").add(10);
-        registry.counter("alpha.shard.0.hits").add(100);
-        let snap = registry.snapshot();
-        assert_eq!(snap.sum_matching("cache.shard.", ".hits"), 5);
-        assert_eq!(snap.sum_matching("cache.shard.", ".misses"), 10);
-        assert_eq!(snap.sum_matching("alpha.shard.", ".hits"), 100);
     }
 
     #[test]

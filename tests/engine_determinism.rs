@@ -77,7 +77,7 @@ fn mp3_kernel_batch_is_byte_identical_across_workers_lift_and_trace() {
                 let stats = &batch.stats;
                 if multimodular {
                     assert!(
-                        stats.lift_success + stats.lift_fallback >= 1,
+                        stats.lift_success() + stats.lift_fallback() >= 1,
                         "the lift never ran at {workers} workers, trace={trace}"
                     );
                 }
