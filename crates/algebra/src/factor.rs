@@ -11,6 +11,7 @@
 
 use symmap_numeric::Rational;
 
+use crate::fingerprint::PolyFingerprint;
 use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
@@ -126,6 +127,123 @@ pub fn factor(poly: &Poly) -> Factorization {
         constant,
         factors: merged,
     }
+}
+
+/// Answers "is `candidate` one of the factors [`factor`] returns for
+/// `target`?" for many candidates against one target — the mapper's
+/// factor-match guidance key — with the same answer as comparing against
+/// `factor(target).factors`, candidate for candidate.
+///
+/// A target of total degree 1 in at least two variables is never factored:
+/// for it `factor` provably returns `(c, [(target / c, 1)])` (see
+/// [`is_multivariate_linear`]), so a candidate matches iff it *is* that
+/// primitive part, which is decided with word-sized screens before any
+/// rational arithmetic. Every other target is factored
+/// once, and each candidate is compared against the factors behind a
+/// fingerprint screen.
+#[derive(Debug)]
+pub struct FactorMatch<'t>(MatchKey<'t>);
+
+#[derive(Debug)]
+enum MatchKey<'t> {
+    /// The target is multivariate linear: its one factor is its primitive
+    /// part, matched by `is_primitive_part_of`.
+    Linear {
+        target: &'t Poly,
+        target_fp: &'t PolyFingerprint,
+    },
+    /// Any other target: `factor(target)`'s factors with their fingerprints.
+    Factors(Vec<(Poly, PolyFingerprint)>),
+}
+
+impl<'t> FactorMatch<'t> {
+    /// Prepares the factor match for `target`, whose fingerprint is
+    /// `target_fp`.
+    pub fn new(target: &'t Poly, target_fp: &'t PolyFingerprint) -> Self {
+        if is_multivariate_linear(target) {
+            return FactorMatch(MatchKey::Linear { target, target_fp });
+        }
+        FactorMatch(MatchKey::Factors(
+            factor(target)
+                .factors
+                .into_iter()
+                .map(|(f, _)| {
+                    let fp = PolyFingerprint::of(&f);
+                    (f, fp)
+                })
+                .collect(),
+        ))
+    }
+
+    /// Whether `candidate` (with fingerprint `candidate_fp`) equals one of
+    /// `factor(target)`'s factors.
+    pub fn matches(&self, candidate: &Poly, candidate_fp: &PolyFingerprint) -> bool {
+        match &self.0 {
+            // A ℚ-multiple of the target has its support, term count and
+            // degree; the fingerprint refutes everything else for free.
+            MatchKey::Linear { target, target_fp } => {
+                candidate_fp.term_count() == target_fp.term_count()
+                    && candidate_fp.total_degree() == 1
+                    && candidate_fp.support() == target_fp.support()
+                    && is_primitive_part_of(candidate, target)
+            }
+            MatchKey::Factors(factors) => factors
+                .iter()
+                .any(|(f, ffp)| ffp.may_equal(candidate_fp) && f == candidate),
+        }
+    }
+}
+
+/// Whether `poly` has total degree 1 in at least two variables. For such a
+/// polynomial `factor` provably returns `(c, [(poly / c, 1)])`, `c` being
+/// the content signed so that `poly / c` has a positive leading coefficient:
+/// the common monomial is 1 (a constant term, or two distinct degree-1
+/// monomials, have gcd 1); the difference-of-squares and perfect-square
+/// branches need two terms whose monomials have only even exponents, and a
+/// linear polynomial has at most one (its constant term); the univariate
+/// branch needs exactly one variable.
+pub fn is_multivariate_linear(poly: &Poly) -> bool {
+    poly.total_degree() == 1 && poly.iter().filter(|(m, _)| !m.is_one()).count() >= 2
+}
+
+/// Whether `candidate` equals the primitive part `target / c` that
+/// [`factor`] returns as the single factor of a multivariate linear
+/// `target` (see [`is_multivariate_linear`]), decided without computing it.
+///
+/// `target / c` is normalised in exactly `factor`'s convention: content 1
+/// (which, for reduced fractions, forces integer coefficients) and a positive
+/// leading coefficient under `GrLex` over its own variables. A candidate
+/// equals it iff the candidate is so normalised and is a ℚ-multiple of
+/// `target`: if `candidate = q·target = (q·c)·(target / c)`, content 1 on
+/// both sides forces `q·c = ±1`, and the two leading coefficients — taken
+/// under the same order, because equal monomials give equal variable lists —
+/// share a sign only when `q·c = 1`. The monomials are compared before any
+/// coefficient, and the ℚ-multiple test cross-multiplies against the first
+/// term instead of scaling the target by its (for an IMDCT line, ~300-bit)
+/// content.
+///
+/// The answer is meaningful only for a multivariate linear `target`; any
+/// other target must go through [`factor`].
+fn is_primitive_part_of(candidate: &Poly, target: &Poly) -> bool {
+    debug_assert!(is_multivariate_linear(target));
+    if candidate.num_terms() != target.num_terms()
+        || candidate
+            .iter()
+            .zip(target.iter())
+            .any(|((a, _), (b, _))| a != b)
+        || !candidate.content().is_one()
+        || leading_is_negative(candidate)
+    {
+        return false;
+    }
+    let mut pairs = candidate
+        .iter()
+        .zip(target.iter())
+        .map(|((_, a), (_, b))| (a, b));
+    let Some((a0, b0)) = pairs.next() else {
+        return false;
+    };
+    pairs.all(|(a, b)| a * b0 == b * a0)
 }
 
 fn leading_is_negative(poly: &Poly) -> bool {
@@ -495,6 +613,85 @@ mod tests {
         assert_eq!(f.expand(), p("c*y0 + c*y1"));
         assert!(f.factors.iter().any(|(q, _)| *q == p("c")));
         assert!(f.factors.iter().any(|(q, _)| *q == p("y0 + y1")));
+    }
+
+    /// The oracle the mapper's factor-match key used to be: factor, then
+    /// compare.
+    fn factor_oracle(target: &Poly, candidate: &Poly) -> bool {
+        factor(target).factors.iter().any(|(f, _)| f == candidate)
+    }
+
+    fn matches(target: &Poly, candidate: &Poly) -> bool {
+        let tfp = PolyFingerprint::of(target);
+        FactorMatch::new(target, &tfp).matches(candidate, &PolyFingerprint::of(candidate))
+    }
+
+    #[test]
+    fn factor_match_agrees_with_factoring_on_the_edge_cases() {
+        let candidates = [
+            "3*x + 2",
+            "x + 2/3",
+            "-3*x - 2",
+            "6*x + 4",
+            "x + y",
+            "-x - y",
+            "2*x + 2*y",
+            "1/2*x + 1/2*y",
+            "x - y",
+            "-x + y",
+            "x + 2*y + 3",
+            "-x - 2*y - 3",
+            "2*x + 4*y + 6",
+            "3*x + 2*y",
+            "-3*x - 2*y",
+            "1/2*x + 1/3*y",
+            "x + y + 1",
+            "x",
+            "x^2 + y",
+        ];
+        let cases = [
+            // Univariate: must take the factoring path.
+            ("3*x + 2", false, "3*x + 2"),
+            ("x + y", true, "x + y"),
+            ("-x - y", true, "x + y"),
+            ("x - y", true, "x - y"),
+            ("-x + y", true, "x - y"),
+            ("2*x + 4*y + 6", true, "x + 2*y + 3"),
+            // Rational coefficients: the primitive part clears denominators.
+            ("1/2*x + 1/3*y", true, "3*x + 2*y"),
+            ("-3/4*x - 1/2*y", true, "3*x + 2*y"),
+            ("x + y + 1", true, "x + y + 1"),
+            // Not linear: factored.
+            ("x^2 - y^2", false, "x + y"),
+        ];
+        for (target, linear, primitive) in cases {
+            let t = p(target);
+            assert_eq!(is_multivariate_linear(&t), linear, "{target}");
+            assert_eq!(
+                matches!(
+                    FactorMatch::new(&t, &PolyFingerprint::of(&t)).0,
+                    MatchKey::Linear { .. }
+                ),
+                linear,
+                "{target}"
+            );
+            assert!(
+                factor_oracle(&t, &p(primitive)),
+                "{primitive} is a factor of {target}"
+            );
+            for c in candidates {
+                let c = p(c);
+                assert_eq!(
+                    matches(&t, &c),
+                    factor_oracle(&t, &c),
+                    "factor match of {c} against {target}"
+                );
+            }
+        }
+        // A ℚ-multiple that is not normalised is no factor.
+        assert!(!matches(&p("x + 2*y + 3"), &p("2*x + 4*y + 6")));
+        assert!(!matches(&p("x + 2*y + 3"), &p("1/2*x + y + 3/2")));
+        assert!(matches(&p("1/2*x + y + 3/2"), &p("x + 2*y + 3")));
     }
 
     proptest! {

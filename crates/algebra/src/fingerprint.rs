@@ -42,7 +42,6 @@
 use crate::poly::Poly;
 use crate::var::Var;
 use symmap_numeric::fp64::{Fp64, PrimeIterator};
-use symmap_numeric::rational::Rational;
 
 /// How many primes the evaluation hash tries before falling back to a
 /// structural hash. A prime is rejected only when it divides a coefficient
@@ -265,38 +264,40 @@ fn eval_hash(poly: &Poly, vars: &[(Var, u32)]) -> u64 {
 
 /// One ℤ/p evaluation at name-seeded points in `[1, p)`; `None` when `p`
 /// divides a coefficient denominator (rotate to the next prime).
+///
+/// The sum Σ (nᵢ/dᵢ)·mᵢ is accumulated as one fraction `num/den`
+/// (`a/b + (n/d)·m = (a·d + n·m·b)/(b·d)`) and divided once at the end, so a
+/// polynomial costs one field inversion instead of one per term. Every step
+/// is exact in ℤ/p and `den` is a product of nonzero residues, so the value
+/// is the same field element the term-by-term division produced.
 fn try_eval_hash(poly: &Poly, vars: &[(Var, u32)], p: u64) -> Option<u64> {
     let field = Fp64::new(p);
     let points: Vec<u64> = vars
         .iter()
         .map(|(v, _)| field.to_montgomery(1 + mix64(fnv1a(v.name().as_bytes())) % (p - 1)))
         .collect();
-    let mut acc = field.zero();
+    let (mut num, mut den) = (field.zero(), field.one());
     for (m, c) in poly.iter() {
-        let mut term = coefficient_mod(&field, c)?;
+        let (n, d) = c.residues_mod(p);
+        if d == 0 {
+            return None;
+        }
+        let mut term = field.to_montgomery(n);
         for (v, e) in m.iter() {
             let i = vars
                 .binary_search_by_key(&v.index(), |(w, _)| w.index())
                 .expect("support covers every variable of every term");
             term = field.mul(term, field.pow(points[i], e as u64));
         }
-        acc = field.add(acc, term);
+        if d == 1 {
+            num = field.add(num, field.mul(term, den));
+        } else {
+            let d = field.to_montgomery(d);
+            num = field.add(field.mul(num, d), field.mul(term, den));
+            den = field.mul(den, d);
+        }
     }
-    Some(field.from_montgomery(acc))
-}
-
-/// Montgomery-form residue of a rational mod p; `None` when p divides the
-/// denominator.
-fn coefficient_mod(field: &Fp64, c: &Rational) -> Option<u64> {
-    let p = field.modulus();
-    let den = c.denom().mod_u64(p);
-    if den == 0 {
-        return None;
-    }
-    Some(field.div(
-        field.to_montgomery(c.numer().mod_u64(p)),
-        field.to_montgomery(den),
-    ))
+    Some(field.from_montgomery(field.div(num, den)))
 }
 
 /// Deterministic fallback when every probe prime divides some denominator
@@ -341,11 +342,21 @@ mod tests {
         // Recorded before the prime stream was memoized: equal values mean
         // the memo hands out the same primes in the same order. The last two
         // polynomials carry denominators equal to the first and second
-        // primes (2⁶² − 57, 2⁶² − 87), so they pin the rotation too.
+        // primes (2⁶² − 57, 2⁶² − 87), so they pin the rotation too. The
+        // four after "7" were recorded while every term still divided by its
+        // own denominator: negative and mixed-denominator coefficients pin
+        // the one-fraction accumulation.
         for (poly, hash) in [
             ("x^2 + 2*x*y + y^2", 0x17e3_1fce_816c_53bc_u64),
             ("3*x^2*y - y^3 + 1/2", 0xb76e_def9_1931_775c),
             ("7", 0x9686_dde2_b12c_c6ce),
+            ("-5/3*x*y + 7/11*z^2 - 13", 0xb3c6_c00d_409b_6522),
+            (
+                "1/2*a + 1/3*b + 1/5*c + 1/7*d - 1/11",
+                0xdbc0_bd33_e6f0_f9e8,
+            ),
+            ("x^3 - 1/9*y", 0x093e_7136_c575_bf52),
+            ("-x - y", 0x8ae5_eac5_194f_6e76),
             ("c0*y0 + c1*y1 + c2*y2 + c3*y3", 0x8ddb_1fbd_4b42_23d5),
             ("1/4611686018427387847*x + y", 0xb127_54d0_e4fd_2b1e),
             (

@@ -96,12 +96,10 @@ pub const MAX_PRIME_ROTATIONS: usize = 16;
 /// Reduces one rational coefficient mod p, returning its Montgomery-form
 /// residue; `None` when p divides the denominator.
 fn localize_coefficient(field: &Fp64, c: &Rational) -> Option<u64> {
-    let p = field.modulus();
-    let den = c.denom().mod_u64(p);
+    let (num, den) = c.residues_mod(field.modulus());
     if den == 0 {
         return None;
     }
-    let num = c.numer().mod_u64(p);
     Some(field.div(field.to_montgomery(num), field.to_montgomery(den)))
 }
 

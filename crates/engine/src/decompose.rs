@@ -12,21 +12,33 @@
 //! manipulations, but as a match key it adds nothing: a Horner form expands
 //! back to exactly the target, so "matches the expanded Horner form" is the
 //! exact-target test again (see `DESIGN.md` §9).
+//!
+//! A node's price splits in two. The *class* part — the side relations,
+//! the rewrite, how often each relation symbol occurs in it, and the
+//! residual software cost — depends only on the chosen elements' output
+//! symbols and polynomials, so it is computed once per job for each ordered
+//! sequence of relation classes and memoized: the float, fixed and IPP
+//! alternatives of one function share a class and are priced by one basis
+//! lookup and one reduction. The *element* part — invocation cycles and
+//! energy, and accuracy — is summed per node from the chosen elements
+//! themselves, and a [`MappingSolution`] is built only when a node becomes
+//! the incumbent (see `DESIGN.md` §9, "Pricing memo").
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use symmap_algebra::factor::factor;
+use symmap_algebra::factor::FactorMatch;
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::groebner::{GroebnerOptions, SharedGroebnerCache};
 use symmap_algebra::poly::Poly;
 use symmap_algebra::simplify::{default_var_set, simplify_modulo_ordered, SideRelations};
-use symmap_algebra::var::VarSet;
+use symmap_algebra::var::{Var, VarSet};
 use symmap_algebra::MonomialOrder;
 use symmap_libchar::{Library, LibraryElement};
 use symmap_trace::{trace_event, trace_span};
 
 use crate::batch::EngineConfig;
-use crate::cost::{combined_accuracy, CostEstimate, CostEvaluator};
+use crate::cost::{CostEstimate, CostEvaluator};
 use crate::error::CoreError;
 use crate::mapping::MappingSolution;
 
@@ -91,6 +103,76 @@ struct JobTarget<'t> {
     vars: VarSet,
 }
 
+/// The relation class of a chosen element: its output symbol and the
+/// evaluation hash of its polynomial. Equal classes induce the identical
+/// side relation once the polynomials are confirmed equal.
+type ClassKey = (Var, u64);
+
+/// The class-level price of a node: everything that depends only on the
+/// ordered sequence of `(output symbol, polynomial)` pairs chosen, and not
+/// on which element carries each pair.
+#[derive(Debug)]
+struct PricedClass {
+    /// One relation per chosen element, in choice order.
+    relations: SideRelations,
+    /// The target reduced modulo `relations`.
+    rewritten: Poly,
+    /// Whether the basis behind `rewritten` ran to completion.
+    complete: bool,
+    /// How often each relation symbol occurs in `rewritten`, parallel to
+    /// `relations`: the invocation count of the element behind it.
+    occurrences: Vec<u32>,
+    /// Software cost of the residual arithmetic left in `rewritten`.
+    residual: CostEstimate,
+}
+
+impl PricedClass {
+    /// Whether this price belongs to `chosen`, whose class keys already
+    /// matched: a hash match is not a proof, so every relation body is
+    /// compared exactly.
+    fn prices(&self, chosen: &[&LibraryElement]) -> bool {
+        self.relations
+            .iter()
+            .zip(chosen)
+            .all(|((_, body), e)| body == e.polynomial())
+    }
+}
+
+/// One job's memo of class-level prices, keyed by the ordered class
+/// sequence of the chosen elements. A bucket holds every class sequence
+/// whose keys collide, told apart by [`PricedClass::prices`].
+#[derive(Default)]
+struct PricingMemo {
+    classes: HashMap<Box<[ClassKey]>, Vec<PricedClass>>,
+}
+
+impl PricingMemo {
+    fn get(&self, key: &[ClassKey], chosen: &[&LibraryElement]) -> Option<&PricedClass> {
+        self.classes.get(key)?.iter().find(|c| c.prices(chosen))
+    }
+
+    fn insert(&mut self, key: &[ClassKey], class: PricedClass) -> &PricedClass {
+        let bucket = self.classes.entry(key.into()).or_default();
+        bucket.push(class);
+        bucket.last().expect("just pushed")
+    }
+}
+
+/// The mutable state of one job's branch-and-bound search.
+struct Search<'a> {
+    job: JobTarget<'a>,
+    /// Candidates in guidance order.
+    candidates: Vec<&'a LibraryElement>,
+    /// The current subset, in choice order.
+    chosen: Vec<&'a LibraryElement>,
+    /// The class key of each element of `chosen`.
+    keys: Vec<ClassKey>,
+    memo: PricingMemo,
+    /// The incumbent: the cheapest accurate solution so far.
+    best: Option<MappingSolution>,
+    nodes: usize,
+}
+
 /// The library mapper.
 ///
 /// Carries a [`SharedGroebnerCache`] memoizing the basis of every
@@ -98,19 +180,20 @@ struct JobTarget<'t> {
 /// subsets of library elements, and across targets (or repeated mapping
 /// calls) the same subset keeps reappearing — its basis is computed once and
 /// shared. The cache is `Arc`-shared and thread-safe, so mappers running on
-/// different batch-engine workers pool their bases.
+/// different batch-engine workers pool their bases. The library is
+/// borrowed, so building a mapper per job copies no library data.
 #[derive(Debug, Clone)]
-pub struct Mapper {
-    library: Library,
+pub struct Mapper<'l> {
+    library: &'l Library,
     config: MapperConfig,
     evaluator: CostEvaluator,
     cache: Arc<SharedGroebnerCache>,
 }
 
-impl Mapper {
+impl<'l> Mapper<'l> {
     /// Creates a mapper over a characterized library with a fresh basis
     /// cache sized by the configuration's [`EngineConfig`].
-    pub fn new(library: &Library, config: MapperConfig) -> Self {
+    pub fn new(library: &'l Library, config: MapperConfig) -> Self {
         let cache = Arc::new(SharedGroebnerCache::with_config(
             config.engine.cache_config(),
         ));
@@ -122,12 +205,12 @@ impl Mapper {
     /// `map_decoder` call — on any worker thread — reuses the bases of
     /// earlier runs).
     pub fn with_shared_cache(
-        library: &Library,
+        library: &'l Library,
         config: MapperConfig,
         cache: Arc<SharedGroebnerCache>,
     ) -> Self {
         Mapper {
-            library: library.clone(),
+            library,
             config,
             evaluator: CostEvaluator::new(),
             cache,
@@ -160,28 +243,32 @@ impl Mapper {
                 target: target.to_string(),
             });
         }
-        let ordered = self.order_candidates(target, &tfp, candidates);
-
-        let mut best: Option<MappingSolution> = None;
-        let mut nodes = 0_usize;
-        let mut chosen: Vec<&LibraryElement> = Vec::new();
+        let mut search = Search {
+            job,
+            candidates: self.order_candidates(target, &tfp, candidates),
+            chosen: Vec::new(),
+            keys: Vec::new(),
+            memo: PricingMemo::default(),
+            best: None,
+            nodes: 0,
+        };
         // The branch-and-bound within one job is sequential and a pure
         // function of (target, library, config), so every event below is
         // deterministic job-channel material.
-        trace_span!(begin "mapper.search", candidates = ordered.len());
-        let explored = self.explore(&job, &ordered, 0, &mut chosen, &mut best, &mut nodes);
+        trace_span!(begin "mapper.search", candidates = search.candidates.len());
+        let explored = self.explore(&mut search, 0);
         trace_span!(
             end "mapper.search",
-            nodes = nodes,
-            found = best.is_some() as usize,
+            nodes = search.nodes,
+            found = search.best.is_some() as usize,
         );
         explored?;
 
-        let mut best = best.ok_or_else(|| CoreError::NoAccurateSolution {
+        let mut best = search.best.ok_or_else(|| CoreError::NoAccurateSolution {
             target: target.to_string(),
             required: self.config.accuracy_tolerance,
         })?;
-        best.nodes_explored = nodes;
+        best.nodes_explored = search.nodes;
         Ok(best)
     }
 
@@ -196,7 +283,7 @@ impl Mapper {
     /// here: a low-degree target can still be mapped through higher-degree
     /// elements whose ideal cancels the excess (see `DESIGN.md` §9 for the
     /// counterexample), so support disjointness is the only sound filter.
-    fn candidates(&self, job: &JobTarget<'_>, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
+    fn candidates(&self, job: &JobTarget<'_>, tfp: &PolyFingerprint) -> Vec<&'l LibraryElement> {
         if self.config.use_fingerprint_index {
             let scan = self.library.candidates(tfp);
             // Deterministic per-job prune record (a pure function of target
@@ -238,7 +325,9 @@ impl Mapper {
     /// `may_equal` miss proves inequality and a `shared_support_count` is the
     /// exact distinct-shared-variable count, so each candidate's score — and
     /// therefore the final order — is identical to the unscreened
-    /// computation, element for element.
+    /// computation, element for element. The factor key comes from
+    /// [`FactorMatch`], which answers exactly as comparing against
+    /// `factor(target)` does but never factors a multivariate linear target.
     fn order_candidates<'a>(
         &self,
         target: &Poly,
@@ -249,20 +338,11 @@ impl Mapper {
             candidates.sort_by(|a, b| a.name().cmp(b.name()));
             return candidates;
         }
-        let factors = factor(target);
-        let factor_fps: Vec<PolyFingerprint> = factors
-            .factors
-            .iter()
-            .map(|(f, _)| PolyFingerprint::of(f))
-            .collect();
+        let factors = FactorMatch::new(target, tfp);
         let score = |e: &LibraryElement| -> i64 {
             let efp = e.fingerprint();
             let mut s = 0_i64;
-            if factor_fps
-                .iter()
-                .zip(factors.factors.iter())
-                .any(|(ffp, (f, _))| ffp.may_equal(efp) && f == e.polynomial())
-            {
+            if factors.matches(e.polynomial(), efp) {
                 s -= 1_000_000;
             }
             if tfp.may_equal(efp) && e.polynomial() == target {
@@ -276,89 +356,120 @@ impl Mapper {
         candidates
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn explore<'a>(
-        &self,
-        job: &JobTarget<'_>,
-        candidates: &[&'a LibraryElement],
-        start: usize,
-        chosen: &mut Vec<&'a LibraryElement>,
-        best: &mut Option<MappingSolution>,
-        nodes: &mut usize,
-    ) -> Result<(), CoreError> {
-        if *nodes >= self.config.max_nodes {
+    fn explore(&self, search: &mut Search<'_>, start: usize) -> Result<(), CoreError> {
+        if search.nodes >= self.config.max_nodes {
             return Ok(());
         }
-        *nodes += 1;
+        search.nodes += 1;
 
-        let solution = self.evaluate(job, chosen)?;
-        let chosen_element_cost: u64 = solution
-            .used_elements
-            .iter()
-            .filter_map(|(n, times)| self.library.element(n).map(|e| e.cycles() * *times as u64))
-            .sum();
+        let class = match search.memo.get(&search.keys, &search.chosen) {
+            Some(class) => class,
+            None => {
+                let class = self.price_class(&search.job, &search.chosen)?;
+                search.memo.insert(&search.keys, class)
+            }
+        };
+        // The element part of the price: each chosen element whose symbol
+        // survives in the rewrite is invoked once per occurrence.
+        let used = || {
+            search
+                .chosen
+                .iter()
+                .zip(&class.occurrences)
+                .filter(|&(_, &times)| times > 0)
+                .map(|(&e, &times)| (e, times))
+        };
+        let mut invoked = CostEstimate::zero();
+        for (e, times) in used() {
+            invoked = invoked.add(&CostEstimate {
+                cycles: e.cycles() * times as u64,
+                energy_nj: e.energy_nj() * times as f64,
+            });
+        }
+        let cost = invoked.add(&class.residual);
+        // Same terms, order and `Sum` as `combined_accuracy`.
+        let accuracy: f64 = used().map(|(e, times)| e.accuracy() * times as f64).sum();
 
-        let acceptable = solution.is_accurate_within(self.config.accuracy_tolerance);
-        let improves = best
+        let acceptable = accuracy <= self.config.accuracy_tolerance;
+        let improves = search
+            .best
             .as_ref()
-            .map(|b| solution.cost.better_than(&b.cost))
+            .map(|b| cost.better_than(&b.cost))
             .unwrap_or(true);
         // One subset-pricing decision: what the node cost and whether it was
         // adopted as the incumbent.
         trace_event!(
             "mapper.price",
-            depth = chosen.len(),
-            cycles = solution.cost.cycles,
+            depth = search.chosen.len(),
+            cycles = cost.cycles,
             acceptable = acceptable as usize,
             adopted = (acceptable && improves) as usize,
         );
         if acceptable && improves {
-            *best = Some(solution);
+            search.best = Some(MappingSolution {
+                target: search.job.poly.clone(),
+                rewritten: class.rewritten.clone(),
+                used_elements: used()
+                    .map(|(e, times)| (e.name().to_string(), times))
+                    .collect(),
+                relations: class.relations.clone(),
+                cost,
+                accuracy,
+                nodes_explored: 0,
+                basis_complete: class.complete,
+            });
         }
 
-        if chosen.len() >= self.config.max_depth {
+        if search.chosen.len() >= self.config.max_depth {
             return Ok(());
         }
         // Bounding: the element invocations already selected are a lower bound
         // on any descendant's cost; prune when they cannot beat the incumbent.
         if self.config.use_bounding {
-            if let Some(b) = best.as_ref() {
-                if chosen_element_cost >= b.cost.cycles {
+            if let Some(b) = search.best.as_ref() {
+                if invoked.cycles >= b.cost.cycles {
                     trace_event!(
                         "mapper.prune",
-                        depth = chosen.len(),
-                        bound = chosen_element_cost,
+                        depth = search.chosen.len(),
+                        bound = invoked.cycles,
                         incumbent = b.cost.cycles,
                     );
                     return Ok(());
                 }
             }
         }
-        for i in start..candidates.len() {
-            let candidate = candidates[i];
+        for i in start..search.candidates.len() {
+            let candidate = search.candidates[i];
             // Two alternatives with the same output symbol (e.g. the float,
             // fixed and IPP versions of the same function) are mutually
             // exclusive within one solution.
-            if chosen
+            if search
+                .chosen
                 .iter()
                 .any(|e| e.output_symbol() == candidate.output_symbol())
             {
                 continue;
             }
-            chosen.push(candidate);
-            self.explore(job, candidates, i + 1, chosen, best, nodes)?;
-            chosen.pop();
+            search.chosen.push(candidate);
+            search.keys.push((
+                Var::new(candidate.output_symbol()),
+                candidate.fingerprint().eval_hash(),
+            ));
+            self.explore(search, i + 1)?;
+            search.chosen.pop();
+            search.keys.pop();
         }
         Ok(())
     }
 
-    /// Prices the mapping induced by a set of chosen elements.
-    fn evaluate(
+    /// Prices the class-level part of a node: builds the chosen elements'
+    /// side relations, reduces the target modulo them and prices the
+    /// residual.
+    fn price_class(
         &self,
         job: &JobTarget<'_>,
         chosen: &[&LibraryElement],
-    ) -> Result<MappingSolution, CoreError> {
-        let target = job.poly;
+    ) -> Result<PricedClass, CoreError> {
         let mut relations = SideRelations::new();
         for e in chosen {
             relations
@@ -367,48 +478,28 @@ impl Mapper {
         }
         let order = MonomialOrder::Lex(default_var_set(&job.vars, &relations));
         let simplification = simplify_modulo_ordered(
-            target,
+            job.poly,
             &relations,
             &order,
             &self.config.groebner,
             &self.cache,
         )?;
         let rewritten = simplification.result;
-
-        let symbols: VarSet = relations.symbols();
-        let mut used_elements: Vec<(String, u32)> = Vec::new();
-        // `relations` holds one relation per chosen element, in order.
-        for (e, (sym, _)) in chosen.iter().zip(relations.iter()) {
-            let occurrences: u32 = rewritten.iter().map(|(m, _)| m.degree_of(sym)).sum();
-            if occurrences > 0 {
-                used_elements.push((e.name().to_string(), occurrences));
-            }
-        }
-
-        let mut cost = CostEstimate::zero();
-        for (name, times) in &used_elements {
-            let unit = self.evaluator.element_cost(&self.library, name);
-            cost = cost.add(&CostEstimate {
-                cycles: unit.cycles * *times as u64,
-                energy_nj: unit.energy_nj * *times as f64,
-            });
-        }
-        cost = cost.add(&self.evaluator.residual_cost(
+        let occurrences = relations
+            .iter()
+            .map(|(sym, _)| rewritten.iter().map(|(m, _)| m.degree_of(sym)).sum())
+            .collect();
+        let residual = self.evaluator.residual_cost(
             &rewritten,
-            &symbols,
+            &relations.symbols(),
             self.config.float_residual,
-        ));
-        let accuracy = combined_accuracy(&self.library, &used_elements);
-
-        Ok(MappingSolution {
-            target: target.clone(),
-            rewritten,
-            used_elements,
+        );
+        Ok(PricedClass {
             relations,
-            cost,
-            accuracy,
-            nodes_explored: 0,
-            basis_complete: simplification.complete,
+            rewritten,
+            complete: simplification.complete,
+            occurrences,
+            residual,
         })
     }
 }
@@ -455,6 +546,72 @@ mod tests {
         let mapper = Mapper::new(&lib, MapperConfig::default());
         let sol = mapper.map_polynomial(&p("a*b + c")).unwrap();
         assert_eq!(sol.element_names(), vec!["impl_ipp"]);
+    }
+
+    #[test]
+    fn same_class_alternatives_are_priced_once() {
+        // Three alternatives of one function share a relation class; the
+        // unrelated element is a second class. With bounding off and depth 2
+        // the search prices 1 root + 4 singletons + 3 (alternative, other)
+        // pairs, but only three distinct class sequences: [f1], [g] and
+        // [f1, g] — one basis lookup each (the root needs none).
+        let mut lib = Library::new("t");
+        lib.push(element("impl_float", "f1", "a*b + c", 900, 1e-15));
+        lib.push(element("impl_fixed", "f1", "a*b + c", 40, 1e-7));
+        lib.push(element("impl_ipp", "f1", "a*b + c", 8, 1e-2));
+        lib.push(element("other", "g", "a + d", 2, 1e-9));
+        let mapper = Mapper::new(
+            &lib,
+            MapperConfig {
+                max_depth: 2,
+                use_bounding: false,
+                ..MapperConfig::default()
+            },
+        );
+        let sol = mapper.map_polynomial(&p("a*b + c")).unwrap();
+        assert_eq!(sol.nodes_explored, 8);
+        assert_eq!(mapper.cache.hits() + mapper.cache.misses(), 3);
+        // The cheapest alternative is too inaccurate; the cheapest accurate
+        // one wins, priced from the shared class with its own cycles.
+        assert_eq!(sol.element_names(), vec!["impl_fixed"]);
+        let residual =
+            CostEvaluator::new().residual_cost(&p("f1"), &VarSet::from_names(&["f1"]), true);
+        assert_eq!(sol.cost.cycles, 40 + residual.cycles);
+        assert_eq!(sol.accuracy, 1e-7);
+        assert_eq!(sol.rewritten, p("f1"));
+        assert!(sol.verify());
+    }
+
+    #[test]
+    fn same_symbol_different_polynomials_never_share_a_price() {
+        let mut lib = Library::new("t");
+        lib.push(element("plus", "s", "x + y", 4, 1e-9));
+        lib.push(element("minus", "s", "x - y", 3, 1e-9));
+        let mapper = Mapper::new(&lib, MapperConfig::default());
+        let target = p("x^2 + 2*x*y + y^2");
+        let sol = mapper.map_polynomial(&target).unwrap();
+        // Both singletons were priced on their own: two lookups, two rewrites.
+        assert_eq!(mapper.cache.hits() + mapper.cache.misses(), 2);
+        assert_eq!(sol.element_names(), vec!["plus"]);
+        assert_eq!(sol.rewritten, p("s^2"));
+
+        // Even under one (forced) colliding key, exact comparison keeps the
+        // two classes apart.
+        let (plus, minus) = (lib.element("plus").unwrap(), lib.element("minus").unwrap());
+        let job = JobTarget {
+            poly: &target,
+            vars: target.vars(),
+        };
+        let key = [(Var::new("s"), 0)];
+        let mut memo = PricingMemo::default();
+        memo.insert(&key, mapper.price_class(&job, &[plus]).unwrap());
+        assert!(memo.get(&key, &[minus]).is_none());
+        memo.insert(&key, mapper.price_class(&job, &[minus]).unwrap());
+        assert_eq!(memo.get(&key, &[plus]).unwrap().rewritten, p("s^2"));
+        assert_eq!(
+            memo.get(&key, &[minus]).unwrap().rewritten,
+            p("s^2 + 4*s*y + 4*y^2")
+        );
     }
 
     #[test]

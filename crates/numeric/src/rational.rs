@@ -460,6 +460,22 @@ impl Rational {
         Rational::from_sign_mag_reduced(false, num_gcd as u128, den_lcm)
     }
 
+    /// `(numerator mod m, denominator mod m)`, both in `[0, m)` — a negative
+    /// numerator maps to its non-negative residue, exactly as
+    /// `self.numer().mod_u64(m)` — without materialising either part as a
+    /// [`BigInt`] when the value is inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero.
+    pub fn residues_mod(&self, m: u64) -> (u64, u64) {
+        assert!(m > 0, "modulus must be positive");
+        match &self.repr {
+            Repr::Small { num, den } => ((*num as i128).rem_euclid(m as i128) as u64, *den % m),
+            Repr::Big(b) => (b.0.mod_u64(m), b.1.mod_u64(m)),
+        }
+    }
+
     /// Returns `true` when the value is stored in the inline `i64`/`u64`
     /// form (exposed for the promotion/demotion boundary tests).
     #[doc(hidden)]
@@ -769,6 +785,28 @@ mod tests {
             Rational::new(2, 3) / Rational::new(4, 3),
             Rational::new(1, 2)
         );
+    }
+
+    #[test]
+    fn residues_agree_with_the_big_integer_parts() {
+        let big: Rational = "-123456789012345678901234567890/98765432109876543210987"
+            .parse()
+            .unwrap();
+        for r in [
+            Rational::new(-7, 3),
+            Rational::new(5, 9),
+            Rational::integer(i64::MIN),
+            Rational::zero(),
+            big,
+        ] {
+            for m in [1, 7, (1 << 62) - 57] {
+                assert_eq!(
+                    r.residues_mod(m),
+                    (r.numer().mod_u64(m), r.denom().mod_u64(m)),
+                    "{r} mod {m}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! recorded fixtures under `tests/fixtures/pricing_golden/`, and the
 //! job-channel transcript must hash to the recorded digest. Any change to
 //! candidate order, subset pricing, the variable order or the trace events a
-//! job emits shows up here as a diff.
+//! job emits shows up here as a diff. The deterministic work counters —
+//! explored nodes, basis lookups and how the lift resolved each computed
+//! basis — are pinned exactly, so a change that does more (or less) work for
+//! the same outcome shows up too.
 //!
 //! Everything runs inside one test function on purpose: `Var` handles render
 //! as interner indices, so the fixtures hold only when the process interns
@@ -28,9 +31,9 @@ use symmap_bench::mp3_kernel_jobs;
 use symmap_trace::BatchTrace;
 
 /// FNV-1a 64 of the MP3 batch's job-channel transcript.
-const MP3_JOB_DIGEST: u64 = 0xe267_51fe_e645_6696;
+const MP3_JOB_DIGEST: u64 = 0x8bd6_af1e_4819_8e3a;
 /// FNV-1a 64 of the renamed batch's job-channel transcript.
-const RENAMED_JOB_DIGEST: u64 = 0x188f_ef25_249a_f376;
+const RENAMED_JOB_DIGEST: u64 = 0x9c83_67fe_0e84_f00e;
 
 fn engine_config(workers: usize) -> EngineConfig {
     EngineConfig {
@@ -116,7 +119,24 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
 }
 
-fn check_batch(name: &str, jobs: &[MapJob], job_digest: u64) {
+/// The deterministic work of one cold batch run at one worker.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    /// Σ `nodes_explored` over the batch's solutions.
+    nodes: usize,
+    /// Basis lookups answered by the global cache layer.
+    cache_hits: usize,
+    /// Basis lookups that missed the global layer.
+    cache_misses: usize,
+    /// Global misses that missed the α-layer too (a Buchberger core ran).
+    alpha_misses: usize,
+    /// Cores the multi-modular lift produced.
+    lift_success: usize,
+    /// Cores computed exactly, past the lift.
+    lift_bypass: usize,
+}
+
+fn check_batch(name: &str, jobs: &[MapJob], job_digest: u64, work: Work) {
     let expected = fixture(&format!("{name}.txt"));
     // Workers = 1 first: it interns every symbol the search introduces in
     // job order, so the parallel run cannot reorder the interner.
@@ -127,6 +147,30 @@ fn check_batch(name: &str, jobs: &[MapJob], job_digest: u64) {
             rendered == expected,
             "{name} outcomes diverged from the fixture at {workers} workers"
         );
+        let stats = &result.stats;
+        let measured = Work {
+            nodes: result.solutions().map(|s| s.nodes_explored).sum(),
+            cache_hits: stats.cache_hits(),
+            cache_misses: stats.cache_misses(),
+            alpha_misses: stats.cache_alpha_misses(),
+            lift_success: stats.lift_success(),
+            lift_bypass: stats.lift_bypass(),
+        };
+        if workers == 1 {
+            assert_eq!(measured, work, "{name} work counters at 1 worker");
+        } else {
+            // Which racing worker computes a shared basis is scheduling
+            // dependent; how many lookups the batch makes is not.
+            assert_eq!(
+                measured.nodes, work.nodes,
+                "{name} nodes at {workers} workers"
+            );
+            assert_eq!(
+                measured.cache_hits + measured.cache_misses,
+                work.cache_hits + work.cache_misses,
+                "{name} basis lookups at {workers} workers"
+            );
+        }
         let trace = result.trace.expect("tracing was enabled");
         assert_eq!(
             fnv1a(&job_transcript(&trace)),
@@ -142,10 +186,34 @@ fn pricing_outcomes_and_job_transcripts_match_the_fixtures() {
     let catalog_library = Arc::new(catalog::full_catalog(&badge));
     let mp3 = mp3_kernel_jobs(&catalog_library, &mapper_config());
     assert_eq!(mp3.len(), 11);
-    check_batch("mp3", &mp3, MP3_JOB_DIGEST);
+    check_batch(
+        "mp3",
+        &mp3,
+        MP3_JOB_DIGEST,
+        Work {
+            nodes: 41,
+            cache_hits: 5,
+            cache_misses: 6,
+            alpha_misses: 6,
+            lift_success: 4,
+            lift_bypass: 2,
+        },
+    );
 
     let synthetic = Arc::new(synthetic_large_library(&badge, 2));
     let renamed = renamed_jobs(&synthetic);
     assert_eq!(renamed.len(), 12);
-    check_batch("renamed", &renamed, RENAMED_JOB_DIGEST);
+    check_batch(
+        "renamed",
+        &renamed,
+        RENAMED_JOB_DIGEST,
+        Work {
+            nodes: 42,
+            cache_hits: 0,
+            cache_misses: 12,
+            alpha_misses: 12,
+            lift_success: 8,
+            lift_bypass: 4,
+        },
+    );
 }
