@@ -142,10 +142,10 @@ fn dequant_frame_ops(variant: &str) -> OpCounts {
                 dequant::dequantize_reference(&granule, &mut ops);
             }
             "fixed" => {
-                dequant::dequantize_fixed(&granule, &table, &mut ops);
+                dequant::dequantize_fixed(&granule, table, &mut ops);
             }
             _ => {
-                dequant::dequantize_ipp(&granule, &table, &mut ops);
+                dequant::dequantize_ipp(&granule, table, &mut ops);
             }
         }
     }

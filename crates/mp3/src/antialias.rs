@@ -47,28 +47,23 @@ pub fn process(spectrum: &mut [f64], variant: AntialiasVariant, ops: &mut OpCoun
         for (i, &(cs, ca)) in coeffs.iter().enumerate() {
             let lower = sb * LINES_PER_SUBBAND - 1 - i;
             let upper = sb * LINES_PER_SUBBAND + i;
-            if upper >= spectrum.len() {
-                continue;
-            }
             let a = spectrum[lower];
             let b = spectrum[upper];
-            match variant {
-                AntialiasVariant::Reference => {
-                    ops.add(InstructionClass::FloatMulSoft, 4);
-                    ops.add(InstructionClass::FloatAddSoft, 2);
-                    ops.add(InstructionClass::Load, 2);
-                    ops.add(InstructionClass::Store, 2);
-                }
-                AntialiasVariant::Fixed => {
-                    ops.add(InstructionClass::IntMac, 4);
-                    ops.add(InstructionClass::Load, 2);
-                    ops.add(InstructionClass::Store, 2);
-                }
-            }
             spectrum[lower] = a * cs - b * ca;
             spectrum[upper] = b * cs + a * ca;
         }
     }
+    // Per butterfly: four multiplies and two adds, two loads, two stores.
+    let butterflies = ((SUBBANDS - 1) * BUTTERFLIES) as u64;
+    match variant {
+        AntialiasVariant::Reference => {
+            ops.add(InstructionClass::FloatMulSoft, 4 * butterflies);
+            ops.add(InstructionClass::FloatAddSoft, 2 * butterflies);
+        }
+        AntialiasVariant::Fixed => ops.add(InstructionClass::IntMac, 4 * butterflies),
+    }
+    ops.add(InstructionClass::Load, 2 * butterflies);
+    ops.add(InstructionClass::Store, 2 * butterflies);
 }
 
 #[cfg(test)]

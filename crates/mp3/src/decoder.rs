@@ -157,8 +157,6 @@ impl KernelSet {
 #[derive(Debug)]
 pub struct Decoder {
     kernels: KernelSet,
-    huffman_table: HuffmanTable,
-    pow43: Vec<f64>,
     synthesis: PolyphaseSynthesis,
     hybrid: HybridFilter,
 }
@@ -177,8 +175,6 @@ impl Decoder {
         };
         Decoder {
             kernels,
-            huffman_table: HuffmanTable::standard(),
-            pow43: dequant::pow43_table(),
             synthesis: PolyphaseSynthesis::new(synth_variant),
             hybrid: HybridFilter::new(hybrid_variant),
         }
@@ -218,22 +214,19 @@ impl Decoder {
     fn decode_granule(&mut self, granule: &Granule, profiler: &Profiler) -> Vec<f64> {
         // 1. Huffman decoding (re-encode the synthetic granule, then decode,
         //    so the decode loop does real bit-level work).
-        let encoded = huffman::encode(&granule.quantized, &self.huffman_table);
+        let table = HuffmanTable::standard();
+        let encoded = huffman::encode(&granule.quantized, table);
         let mut ops = OpCounts::new();
-        let quantized =
-            huffman::decode(&encoded, SAMPLES_PER_GRANULE, &self.huffman_table, &mut ops)
-                .expect("self-generated stream is always decodable");
-        profiler.record("III_hufman_decode", &scale_down(&ops, self.control_scale()));
+        let quantized = huffman::decode(&encoded, SAMPLES_PER_GRANULE, table, &mut ops)
+            .expect("self-generated stream is always decodable");
+        profiler.record("III_hufman_decode", &ops.divided(self.control_scale()));
 
         // 2. Scale-factor decoding (small, control dominated).
         let mut ops = OpCounts::new();
         ops.add(InstructionClass::IntAlu, 4 * SUBBANDS as u64);
         ops.add(InstructionClass::Load, 2 * SUBBANDS as u64);
         ops.add(InstructionClass::Store, SUBBANDS as u64);
-        profiler.record(
-            "III_get_scale_factors",
-            &scale_down(&ops, self.control_scale()),
-        );
+        profiler.record("III_get_scale_factors", &ops.divided(self.control_scale()));
 
         // 3. Requantization.
         let granule_for_dequant = Granule {
@@ -246,10 +239,10 @@ impl Decoder {
                 dequant::dequantize_reference(&granule_for_dequant, &mut ops)
             }
             KernelVariant::Fixed => {
-                dequant::dequantize_fixed(&granule_for_dequant, &self.pow43, &mut ops)
+                dequant::dequantize_fixed(&granule_for_dequant, dequant::pow43_table(), &mut ops)
             }
             KernelVariant::Ipp => {
-                dequant::dequantize_ipp(&granule_for_dequant, &self.pow43, &mut ops)
+                dequant::dequantize_ipp(&granule_for_dequant, dequant::pow43_table(), &mut ops)
             }
         };
         profiler.record("III_dequantize_sample", &ops);
@@ -259,7 +252,7 @@ impl Decoder {
         ops.add(InstructionClass::Load, SAMPLES_PER_GRANULE as u64);
         ops.add(InstructionClass::Store, SAMPLES_PER_GRANULE as u64);
         ops.add(InstructionClass::IntAlu, SAMPLES_PER_GRANULE as u64 / 2);
-        profiler.record("III_reorder", &scale_down(&ops, self.control_scale()));
+        profiler.record("III_reorder", &ops.divided(self.control_scale()));
 
         // 5. Stereo processing.
         let stereo_variant = match self.kernels.stereo {
@@ -268,7 +261,7 @@ impl Decoder {
         };
         let mut ops = OpCounts::new();
         let mut left = stereo::process(&mut spectrum, granule.mid_side, stereo_variant, &mut ops);
-        profiler.record("III_stereo", &scale_down(&ops, self.control_scale()));
+        profiler.record("III_stereo", &ops.divided(self.control_scale()));
 
         // 6. Antialias butterflies.
         let aa_variant = match self.kernels.antialias {
@@ -306,20 +299,6 @@ impl Decoder {
         debug_assert_eq!(granule_pcm.len(), LINES_PER_SUBBAND * SUBBANDS);
         granule_pcm
     }
-}
-
-fn scale_down(ops: &OpCounts, divisor: u64) -> OpCounts {
-    if divisor <= 1 {
-        return ops.clone();
-    }
-    let mut out = OpCounts::new();
-    for (c, n) in ops.iter() {
-        out.add(c, (n / divisor).max(1));
-    }
-    for (r, n) in ops.memory_iter() {
-        out.add_memory(r, (n / divisor).max(1));
-    }
-    out
 }
 
 #[cfg(test)]

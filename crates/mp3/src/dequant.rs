@@ -15,95 +15,101 @@
 //! * [`dequantize_ipp`] — IPP-style fixed point with pair-at-a-time table
 //!   lookups and fewer per-sample overheads.
 
+use std::sync::OnceLock;
+
 use symmap_platform::cost::{InstructionClass, OpCounts};
 use symmap_platform::memory::MemoryRegion;
 
-use crate::types::{Granule, LINES_PER_SUBBAND, SAMPLES_PER_GRANULE};
+use crate::types::{Granule, LINES_PER_SUBBAND, SAMPLES_PER_GRANULE, SUBBANDS};
 
 /// Normalization applied to every reconstructed sample so that the decoder's
 /// PCM output lands in the nominal ±1 full-scale range (the standard's
 /// global-gain bias of 210 plays the same role).
 pub const GAIN_BIAS: f64 = 4096.0;
 
-/// Exact requantization scale for one sample.
-fn scale_for(granule: &Granule, index: usize) -> f64 {
-    let sb = index / LINES_PER_SUBBAND;
+/// Exact requantization scale of subband `sb`.
+fn scale_for(granule: &Granule, sb: usize) -> f64 {
     let sf = granule.scalefactors[sb] as f64;
     (2.0_f64).powf(granule.global_gain as f64 / 4.0 - sf / 2.0) / GAIN_BIAS
+}
+
+/// The requantization loop every variant computes on the host:
+/// `sign(is) · |is|^(4/3) · scale(subband)`, with the magnitude power from
+/// `pow43` and each subband's scale computed once and passed through `round`.
+fn requantize(granule: &Granule, pow43: impl Fn(i32) -> f64, round: fn(f64) -> f64) -> Vec<f64> {
+    let scales: [f64; SUBBANDS] = std::array::from_fn(|sb| round(scale_for(granule, sb)));
+    let mut out = vec![0.0_f64; SAMPLES_PER_GRANULE];
+    for (i, &q) in granule.quantized.iter().enumerate() {
+        out[i] = q.signum() as f64 * pow43(q) * scales[i / LINES_PER_SUBBAND];
+    }
+    out
 }
 
 /// Reference double-precision dequantizer (ISO style): recomputes the powers
 /// for every sample with math-library calls.
 pub fn dequantize_reference(granule: &Granule, ops: &mut OpCounts) -> Vec<f64> {
-    let mut out = vec![0.0_f64; SAMPLES_PER_GRANULE];
-    for (i, &q) in granule.quantized.iter().enumerate() {
-        // The ISO code calls pow() several times per sample: |is|^(4/3), the
-        // global-gain power of two, the scalefactor and pre-emphasis powers of
-        // two are all recomputed from scratch inside the sample loop.
-        ops.add(InstructionClass::LibmCall, 5);
-        ops.add(InstructionClass::FloatMulSoft, 3);
-        ops.add(InstructionClass::FloatConvSoft, 1);
-        ops.add(InstructionClass::Load, 2);
-        ops.add(InstructionClass::Store, 1);
-        ops.add_memory(MemoryRegion::Sdram, 2);
-        let mag = (q.abs() as f64).powf(4.0 / 3.0);
-        out[i] = q.signum() as f64 * mag * scale_for(granule, i);
-    }
+    let out = requantize(granule, |q| (q.abs() as f64).powf(4.0 / 3.0), |s| s);
+    // The ISO code calls pow() several times per sample: |is|^(4/3), the
+    // global-gain power of two, the scalefactor and pre-emphasis powers of
+    // two are all recomputed from scratch inside the sample loop.
+    let n = granule.quantized.len() as u64;
+    ops.add(InstructionClass::LibmCall, 5 * n);
+    ops.add(InstructionClass::FloatMulSoft, 3 * n);
+    ops.add(InstructionClass::FloatConvSoft, n);
+    ops.add(InstructionClass::Load, 2 * n);
+    ops.add(InstructionClass::Store, n);
+    ops.add_memory(MemoryRegion::Sdram, 2 * n);
     out
 }
 
 /// Size of the `|is|^(4/3)` lookup table used by the fixed-point variants.
 pub const POW43_TABLE_SIZE: usize = 8207;
 
-/// Builds the fixed-point `|is|^(4/3)` table (shared by the IH and IPP
-/// variants; a real port stores it in SRAM).
-pub fn pow43_table() -> Vec<f64> {
-    (0..POW43_TABLE_SIZE)
-        .map(|i| (i as f64).powf(4.0 / 3.0))
-        .collect()
+/// The fixed-point `|is|^(4/3)` table (shared by the IH and IPP variants; a
+/// real port stores it in SRAM), built once per process.
+pub fn pow43_table() -> &'static [f64] {
+    static TABLE: OnceLock<[f64; POW43_TABLE_SIZE]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|i| (i as f64).powf(4.0 / 3.0)))
+}
+
+/// The table-driven requantization shared by the fixed-point variants:
+/// `|is|^(4/3)` from `table`, and the scale constant kept to a 32-bit
+/// mantissa.
+fn dequantize_table(granule: &Granule, table: &[f64]) -> Vec<f64> {
+    let pow43 = |q: i32| {
+        table
+            .get(q.unsigned_abs() as usize)
+            .copied()
+            .unwrap_or_else(|| (q.abs() as f64).powf(4.0 / 3.0))
+    };
+    requantize(granule, pow43, quantize_scale)
 }
 
 /// In-house fixed-point dequantizer: table lookup plus shift-based scaling.
 pub fn dequantize_fixed(granule: &Granule, table: &[f64], ops: &mut OpCounts) -> Vec<f64> {
-    let mut out = vec![0.0_f64; SAMPLES_PER_GRANULE];
-    for (i, &q) in granule.quantized.iter().enumerate() {
-        ops.add(InstructionClass::TableLookup, 2);
-        ops.add(InstructionClass::IntAlu, 10);
-        ops.add(InstructionClass::IntMul, 2);
-        ops.add(InstructionClass::Load, 2);
-        ops.add(InstructionClass::Store, 1);
-        ops.add_memory(MemoryRegion::Sram, 1);
-        let mag = table
-            .get(q.unsigned_abs() as usize)
-            .copied()
-            .unwrap_or_else(|| (q.abs() as f64).powf(4.0 / 3.0));
-        // Fixed-point scaling keeps a 32-bit mantissa of the scale constant.
-        let scale = quantize_scale(scale_for(granule, i));
-        out[i] = q.signum() as f64 * mag * scale;
-    }
+    let out = dequantize_table(granule, table);
+    let n = granule.quantized.len() as u64;
+    ops.add(InstructionClass::TableLookup, 2 * n);
+    ops.add(InstructionClass::IntAlu, 10 * n);
+    ops.add(InstructionClass::IntMul, 2 * n);
+    ops.add(InstructionClass::Load, 2 * n);
+    ops.add(InstructionClass::Store, n);
+    ops.add_memory(MemoryRegion::Sram, n);
     out
 }
 
 /// IPP-style dequantizer: identical arithmetic but a tighter inner loop
 /// (paired lookups, no per-sample reloads of the scale constants).
 pub fn dequantize_ipp(granule: &Granule, table: &[f64], ops: &mut OpCounts) -> Vec<f64> {
-    let mut out = vec![0.0_f64; SAMPLES_PER_GRANULE];
-    for (i, &q) in granule.quantized.iter().enumerate() {
-        if i % 2 == 0 {
-            ops.add(InstructionClass::TableLookup, 2);
-            ops.add(InstructionClass::IntAlu, 5);
-            ops.add(InstructionClass::IntMul, 2);
-            ops.add(InstructionClass::Load, 1);
-            ops.add(InstructionClass::Store, 2);
-            ops.add_memory(MemoryRegion::Sram, 1);
-        }
-        let mag = table
-            .get(q.unsigned_abs() as usize)
-            .copied()
-            .unwrap_or_else(|| (q.abs() as f64).powf(4.0 / 3.0));
-        let scale = quantize_scale(scale_for(granule, i));
-        out[i] = q.signum() as f64 * mag * scale;
-    }
+    let out = dequantize_table(granule, table);
+    // One iteration per sample pair (the last one may be a single sample).
+    let pairs = granule.quantized.len().div_ceil(2) as u64;
+    ops.add(InstructionClass::TableLookup, 2 * pairs);
+    ops.add(InstructionClass::IntAlu, 5 * pairs);
+    ops.add(InstructionClass::IntMul, 2 * pairs);
+    ops.add(InstructionClass::Load, pairs);
+    ops.add(InstructionClass::Store, 2 * pairs);
+    ops.add_memory(MemoryRegion::Sram, pairs);
     out
 }
 
@@ -154,8 +160,8 @@ mod tests {
         let table = pow43_table();
         let mut ops = OpCounts::new();
         let reference = dequantize_reference(&g, &mut ops);
-        let fixed = dequantize_fixed(&g, &table, &mut ops);
-        let ipp = dequantize_ipp(&g, &table, &mut ops);
+        let fixed = dequantize_fixed(&g, table, &mut ops);
+        let ipp = dequantize_ipp(&g, table, &mut ops);
         let rms_fixed = rms(&reference, &fixed);
         let rms_ipp = rms(&reference, &ipp);
         let signal = rms(&reference, &vec![0.0; reference.len()]);
@@ -174,9 +180,9 @@ mod tests {
         let mut ops_ref = OpCounts::new();
         dequantize_reference(&g, &mut ops_ref);
         let mut ops_fixed = OpCounts::new();
-        dequantize_fixed(&g, &table, &mut ops_fixed);
+        dequantize_fixed(&g, table, &mut ops_fixed);
         let mut ops_ipp = OpCounts::new();
-        dequantize_ipp(&g, &table, &mut ops_ipp);
+        dequantize_ipp(&g, table, &mut ops_ipp);
         let c_ref = badge.cost_of(&ops_ref).cycles;
         let c_fixed = badge.cost_of(&ops_fixed).cycles;
         let c_ipp = badge.cost_of(&ops_ipp).cycles;

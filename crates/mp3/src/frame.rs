@@ -19,7 +19,6 @@ use crate::types::{
 #[derive(Debug)]
 pub struct FrameGenerator {
     rng: StdRng,
-    table: HuffmanTable,
     next_index: u32,
 }
 
@@ -28,7 +27,6 @@ impl FrameGenerator {
     pub fn new(seed: u64) -> Self {
         FrameGenerator {
             rng: StdRng::seed_from_u64(seed),
-            table: HuffmanTable::standard(),
             next_index: 0,
         }
     }
@@ -81,12 +79,12 @@ impl FrameGenerator {
     /// Huffman-encodes a granule's quantized spectrum into bytes (the payload
     /// the decoder's Huffman stage consumes).
     pub fn encode_granule(&self, granule: &Granule) -> Vec<u8> {
-        huffman::encode(&granule.quantized, &self.table)
+        huffman::encode(&granule.quantized, self.table())
     }
 
     /// The Huffman table shared by generator and decoder.
-    pub fn table(&self) -> &HuffmanTable {
-        &self.table
+    pub fn table(&self) -> &'static HuffmanTable {
+        HuffmanTable::standard()
     }
 }
 

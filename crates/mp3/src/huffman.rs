@@ -7,6 +7,8 @@
 //! sign bits, escape linbits — so its control/ALU cost profile matches the
 //! `III_hufman_decode` row of the paper's profiles.
 
+use std::sync::OnceLock;
+
 use symmap_platform::cost::{InstructionClass, OpCounts};
 
 use crate::bitstream::{BitReader, BitWriter};
@@ -16,24 +18,41 @@ pub const MAX_DIRECT: i32 = 15;
 /// Number of linbits used by the escape code.
 pub const LINBITS: u8 = 13;
 
+/// Number of distinct magnitudes per pair element (`0..=MAX_DIRECT`).
+const MAGNITUDES: usize = MAX_DIRECT as usize + 1;
+/// Bits the decoder reads for one pair before giving up on a corrupt stream.
+const MAX_CODE_LEN: usize = 21;
+
 /// A canonical Huffman code for value pairs `(|x|, |y|)` with `|x|, |y| <= 15`.
 #[derive(Debug, Clone)]
 pub struct HuffmanTable {
     /// `codes[x][y] = (code, length)`.
-    codes: Vec<Vec<(u32, u8)>>,
-    /// Reverse map `(length, code) -> (x, y)` for bit-serial decoding.
-    decode_map: std::collections::BTreeMap<(u8, u32), (u32, u32)>,
+    codes: [[(u32, u8); MAGNITUDES]; MAGNITUDES],
+    /// The symbols in canonical order: by code length, then code.
+    symbols: [(u32, u32); MAGNITUDES * MAGNITUDES],
+    /// `first_code[len]`: the code of the first symbol of length `len`.
+    first_code: [u32; MAX_CODE_LEN + 1],
+    /// `count[len]`: how many symbols have length `len`.
+    count: [u32; MAX_CODE_LEN + 1],
+    /// `offset[len]`: index in `symbols` of the first symbol of length `len`.
+    offset: [usize; MAX_CODE_LEN + 1],
 }
 
 impl HuffmanTable {
-    /// The table used by the synthetic stream: code lengths grow with the sum
-    /// of the pair magnitudes, which mimics the statistics of real audio
-    /// (small values are overwhelmingly more common).
-    pub fn standard() -> Self {
+    /// The table used by the synthetic stream, built once per process: code
+    /// lengths grow with the sum of the pair magnitudes, which mimics the
+    /// statistics of real audio (small values are overwhelmingly more
+    /// common).
+    pub fn standard() -> &'static HuffmanTable {
+        static TABLE: OnceLock<HuffmanTable> = OnceLock::new();
+        TABLE.get_or_init(HuffmanTable::build_standard)
+    }
+
+    fn build_standard() -> Self {
         // Assign lengths by magnitude sum, then build canonical codes.
         let mut symbols: Vec<(usize, usize, u8)> = Vec::new();
-        for x in 0..=MAX_DIRECT as usize {
-            for y in 0..=MAX_DIRECT as usize {
+        for x in 0..MAGNITUDES {
+            for y in 0..MAGNITUDES {
                 let len = match x + y {
                     0 => 1,
                     1 => 3,
@@ -49,18 +68,29 @@ impl HuffmanTable {
         }
         // Canonical code assignment: sort by (length, x, y).
         symbols.sort_by_key(|&(x, y, len)| (len, x, y));
-        let mut codes = vec![vec![(0_u32, 0_u8); MAX_DIRECT as usize + 1]; MAX_DIRECT as usize + 1];
-        let mut decode_map = std::collections::BTreeMap::new();
+        let mut table = HuffmanTable {
+            codes: [[(0, 0); MAGNITUDES]; MAGNITUDES],
+            symbols: [(0, 0); MAGNITUDES * MAGNITUDES],
+            first_code: [0; MAX_CODE_LEN + 1],
+            count: [0; MAX_CODE_LEN + 1],
+            offset: [0; MAX_CODE_LEN + 1],
+        };
         let mut code = 0_u32;
         let mut prev_len = symbols[0].2;
-        for &(x, y, len) in &symbols {
+        for (index, &(x, y, len)) in symbols.iter().enumerate() {
             code <<= len - prev_len;
             prev_len = len;
-            codes[x][y] = (code, len);
-            decode_map.insert((len, code), (x as u32, y as u32));
+            table.codes[x][y] = (code, len);
+            let l = len as usize;
+            if table.count[l] == 0 {
+                table.first_code[l] = code;
+                table.offset[l] = index;
+            }
+            table.count[l] += 1;
+            table.symbols[index] = (x as u32, y as u32);
             code += 1;
         }
-        HuffmanTable { codes, decode_map }
+        table
     }
 
     /// Code and length for a magnitude pair.
@@ -72,6 +102,13 @@ impl HuffmanTable {
         self.codes[x as usize][y as usize]
     }
 
+    /// The symbol whose code of length `len` is `code`, if any. Canonical
+    /// codes of one length are consecutive, so this is a range check.
+    fn symbol(&self, len: usize, code: u32) -> Option<(u32, u32)> {
+        let index = code.wrapping_sub(self.first_code[len]);
+        (index < self.count[len]).then(|| self.symbols[self.offset[len] + index as usize])
+    }
+
     /// Decodes one magnitude pair by walking the canonical code bit by bit.
     /// Returns `None` on a truncated stream.
     pub fn decode_pair(
@@ -80,22 +117,27 @@ impl HuffmanTable {
         ops: &mut OpCounts,
     ) -> Option<(u32, u32)> {
         let mut code = 0_u32;
-        let mut len = 0_u8;
-        loop {
-            code = (code << 1) | reader.read_bit()? as u32;
+        let mut len = 0;
+        let pair = loop {
+            let Some(bit) = reader.read_bit() else {
+                break None;
+            };
+            code = (code << 1) | bit as u32;
             len += 1;
-            ops.add(InstructionClass::IntAlu, 2);
-            ops.add(InstructionClass::Branch, 1);
-            // One table probe per accumulated bit, as a real table-driven
-            // decoder would issue.
-            ops.add(InstructionClass::TableLookup, 1);
-            if let Some(&(x, y)) = self.decode_map.get(&(len, code)) {
-                return Some((x, y));
+            if let Some(pair) = self.symbol(len, code) {
+                break Some(pair);
             }
-            if len > 20 {
-                return None;
+            if len == MAX_CODE_LEN {
+                break None;
             }
-        }
+        };
+        // Per accumulated bit: shift-or and a length bump, a loop branch and
+        // one table probe, as a real table-driven decoder would issue.
+        let bits = len as u64;
+        ops.add(InstructionClass::IntAlu, 2 * bits);
+        ops.add(InstructionClass::Branch, bits);
+        ops.add(InstructionClass::TableLookup, bits);
+        pair
     }
 }
 
@@ -218,9 +260,9 @@ mod tests {
     fn encode_decode_round_trip() {
         let t = HuffmanTable::standard();
         let values: Vec<i32> = vec![0, 1, -1, 3, -7, 15, 0, 0, 2, -2, 14, -15, 9, 0, -4, 5];
-        let bytes = encode(&values, &t);
+        let bytes = encode(&values, t);
         let mut ops = OpCounts::new();
-        let decoded = decode(&bytes, values.len(), &t, &mut ops).unwrap();
+        let decoded = decode(&bytes, values.len(), t, &mut ops).unwrap();
         assert_eq!(decoded, values);
         assert!(ops.total() > 0);
     }
@@ -229,9 +271,9 @@ mod tests {
     fn escape_values_round_trip() {
         let t = HuffmanTable::standard();
         let values: Vec<i32> = vec![100, -200, 15, -15, 4095, 0];
-        let bytes = encode(&values, &t);
+        let bytes = encode(&values, t);
         let mut ops = OpCounts::new();
-        let decoded = decode(&bytes, values.len(), &t, &mut ops).unwrap();
+        let decoded = decode(&bytes, values.len(), t, &mut ops).unwrap();
         assert_eq!(decoded, values);
     }
 
@@ -239,20 +281,79 @@ mod tests {
     fn truncated_stream_returns_none() {
         let t = HuffmanTable::standard();
         let values: Vec<i32> = vec![3; 64];
-        let mut bytes = encode(&values, &t);
+        let mut bytes = encode(&values, t);
         bytes.truncate(2);
         let mut ops = OpCounts::new();
-        assert!(decode(&bytes, values.len(), &t, &mut ops).is_none());
+        assert!(decode(&bytes, values.len(), t, &mut ops).is_none());
     }
 
     #[test]
     fn odd_length_input() {
         let t = HuffmanTable::standard();
         let values: Vec<i32> = vec![1, -2, 3];
-        let bytes = encode(&values, &t);
+        let bytes = encode(&values, t);
         let mut ops = OpCounts::new();
-        let decoded = decode(&bytes, values.len(), &t, &mut ops).unwrap();
+        let decoded = decode(&bytes, values.len(), t, &mut ops).unwrap();
         assert_eq!(decoded, values);
+    }
+
+    #[test]
+    fn every_pair_and_every_escape_and_sign_path_round_trips() {
+        let t = HuffmanTable::standard();
+        // All 256 direct magnitude pairs, each with every sign combination.
+        for x in 0..=MAX_DIRECT {
+            for y in 0..=MAX_DIRECT {
+                for (sx, sy) in [(1, 1), (-1, 1), (1, -1), (-1, -1)] {
+                    let values = vec![sx * x, sy * y];
+                    let bytes = encode(&values, t);
+                    let mut ops = OpCounts::new();
+                    let decoded = decode(&bytes, 2, t, &mut ops).unwrap();
+                    assert_eq!(decoded, values);
+                    // Per code bit: two ALU ops, a branch and a probe; one
+                    // ALU op per escape, one branch per sign, one store per
+                    // value.
+                    let len = u64::from(t.code(x as u32, y as u32).1);
+                    let escapes = values.iter().filter(|v| v.abs() == MAX_DIRECT).count();
+                    let signs = values.iter().filter(|&&v| v != 0).count();
+                    assert_eq!(ops.count(InstructionClass::TableLookup), len);
+                    assert_eq!(
+                        ops.count(InstructionClass::IntAlu),
+                        2 * len + escapes as u64
+                    );
+                    assert_eq!(ops.count(InstructionClass::Branch), len + signs as u64);
+                    assert_eq!(ops.count(InstructionClass::Store), 2);
+                }
+            }
+        }
+        // Escapes on either or both sides, at the edges of the linbits range.
+        let top = MAX_DIRECT + (1 << LINBITS) - 1;
+        for values in [
+            vec![MAX_DIRECT, 0],
+            vec![0, -MAX_DIRECT],
+            vec![MAX_DIRECT + 1, -(MAX_DIRECT + 1)],
+            vec![-top, top],
+            vec![top, 3],
+        ] {
+            let bytes = encode(&values, t);
+            let mut ops = OpCounts::new();
+            assert_eq!(decode(&bytes, 2, t, &mut ops).unwrap(), values);
+        }
+    }
+
+    #[test]
+    fn corrupt_stream_gives_up_after_the_longest_probe() {
+        // Fifteen-bit codes are the longest; a run of ones past every
+        // assigned code matches nothing.
+        let t = HuffmanTable::standard();
+        let bytes = [0xff; 4];
+        let mut ops = OpCounts::new();
+        assert!(t
+            .decode_pair(&mut BitReader::new(&bytes), &mut ops)
+            .is_none());
+        assert_eq!(
+            ops.count(InstructionClass::TableLookup),
+            MAX_CODE_LEN as u64
+        );
     }
 
     proptest! {
@@ -261,9 +362,9 @@ mod tests {
         #[test]
         fn prop_round_trip(values in proptest::collection::vec(-4000_i32..4000, 2..120)) {
             let t = HuffmanTable::standard();
-            let bytes = encode(&values, &t);
+            let bytes = encode(&values, t);
             let mut ops = OpCounts::new();
-            let decoded = decode(&bytes, values.len(), &t, &mut ops).unwrap();
+            let decoded = decode(&bytes, values.len(), t, &mut ops).unwrap();
             prop_assert_eq!(decoded, values);
         }
     }

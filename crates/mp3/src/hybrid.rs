@@ -60,23 +60,20 @@ impl HybridFilter {
                     sample = -sample;
                 }
                 slots[t][sb] = sample;
-                match self.variant {
-                    HybridVariant::Reference => {
-                        ops.add(InstructionClass::FloatAddSoft, 1);
-                        ops.add(InstructionClass::Load, 2);
-                        ops.add(InstructionClass::Store, 1);
-                    }
-                    HybridVariant::Fixed => {
-                        ops.add(InstructionClass::IntAlu, 1);
-                        ops.add(InstructionClass::Load, 2);
-                        ops.add(InstructionClass::Store, 1);
-                    }
-                }
             }
             // Save the second half of the block as the next granule's overlap.
             self.overlap[sb].copy_from_slice(&block[LINES_PER_SUBBAND..]);
-            ops.add(InstructionClass::Store, LINES_PER_SUBBAND as u64);
         }
+        // Per output sample: one add, two loads and one store, plus one more
+        // store to save the overlap value it replaces.
+        let samples = (SUBBANDS * LINES_PER_SUBBAND) as u64;
+        let add = match self.variant {
+            HybridVariant::Reference => InstructionClass::FloatAddSoft,
+            HybridVariant::Fixed => InstructionClass::IntAlu,
+        };
+        ops.add(add, samples);
+        ops.add(InstructionClass::Load, 2 * samples);
+        ops.add(InstructionClass::Store, 2 * samples);
         slots
     }
 }

@@ -19,13 +19,15 @@
 //! * [`imdct_ipp`] — a fast even/odd-split algorithm with roughly a third of
 //!   the multiplies, standing in for the hand-tuned IPP routine.
 
+use std::sync::OnceLock;
+
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::Var;
 use symmap_numeric::Rational;
 use symmap_platform::cost::{InstructionClass, OpCounts};
 use symmap_platform::memory::MemoryRegion;
 
-use crate::types::LINES_PER_SUBBAND;
+use crate::types::{IMDCT_SIZE, LINES_PER_SUBBAND};
 
 /// The IMDCT cosine factor for output `i`, input `k`, size `n`.
 pub fn cos_factor(i: usize, k: usize, n: usize) -> f64 {
@@ -40,76 +42,119 @@ pub fn window(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Reference double-precision IMDCT of one 18-line subband block, windowed.
-pub fn imdct_reference(input: &[f64], ops: &mut OpCounts) -> Vec<f64> {
-    let half = input.len();
-    let n = 2 * half;
-    let win = window(n);
-    let mut out = vec![0.0_f64; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (k, &y) in input.iter().enumerate() {
-            acc += y * cos_factor(i, k, n);
-            ops.add(InstructionClass::FloatMulSoft, 1);
-            ops.add(InstructionClass::FloatAddSoft, 1);
-            ops.add(InstructionClass::Load, 2);
-            ops.add_memory(MemoryRegion::Sdram, 1);
+/// Cosines of one 18-line block: `[output i][input k]`.
+type CosTable = [[f64; LINES_PER_SUBBAND]; IMDCT_SIZE];
+
+/// The 18-line block cosines and window, computed once per process — the
+/// "cosines computed in advance" of Equation 1.
+struct Tables {
+    /// `cos[i][k] = cos_factor(i, k, 36)`.
+    cos: CosTable,
+    /// `cos` rounded to the fixed-point kernels' precision.
+    cos_q23: CosTable,
+    /// `window(36)`.
+    window: [f64; IMDCT_SIZE],
+}
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let cos: CosTable =
+            std::array::from_fn(|i| std::array::from_fn(|k| cos_factor(i, k, IMDCT_SIZE)));
+        Tables {
+            cos_q23: cos.map(|row| row.map(quantize_q23)),
+            cos,
+            window: window(IMDCT_SIZE).try_into().expect("window(n) has n taps"),
         }
-        *o = acc * win[i];
-        ops.add(InstructionClass::FloatMulSoft, 1);
-        ops.add(InstructionClass::Store, 1);
-    }
+    })
+}
+
+/// Outputs per block (`n`), for the cost model.
+const N: u64 = IMDCT_SIZE as u64;
+/// Multiply-accumulates per output (`n/2`), for the cost model.
+const HALF: u64 = LINES_PER_SUBBAND as u64;
+
+/// The windowed O(n²/2) loop every variant computes on the host: the inputs
+/// and each windowed output pass through `round` (the identity for the
+/// double-precision reference), against the matching cosine table.
+///
+/// # Panics
+///
+/// Panics unless `input` holds 18 lines.
+fn transform(input: &[f64], cos: &CosTable, round: fn(f64) -> f64) -> Vec<f64> {
+    assert_eq!(
+        input.len(),
+        LINES_PER_SUBBAND,
+        "the IMDCT kernels transform 18-line blocks"
+    );
+    let y: Vec<f64> = input.iter().map(|&v| round(v)).collect();
+    cos.iter()
+        .zip(&tables().window)
+        .map(|(row, &w)| {
+            let mut acc = 0.0;
+            for (&y, &c) in y.iter().zip(row) {
+                acc += y * c;
+            }
+            round(acc * w)
+        })
+        .collect()
+}
+
+/// Reference double-precision IMDCT of one 18-line subband block, windowed.
+///
+/// # Panics
+///
+/// Panics unless `input` holds 18 lines.
+pub fn imdct_reference(input: &[f64], ops: &mut OpCounts) -> Vec<f64> {
+    let out = transform(input, &tables().cos, |v| v);
+    // Per output: `HALF` float MACs with two loads each from SDRAM, then
+    // one windowing multiply and a store.
+    ops.add(InstructionClass::FloatMulSoft, N * HALF + N);
+    ops.add(InstructionClass::FloatAddSoft, N * HALF);
+    ops.add(InstructionClass::Load, 2 * N * HALF);
+    ops.add_memory(MemoryRegion::Sdram, N * HALF);
+    ops.add(InstructionClass::Store, N);
     out
 }
 
 /// In-house fixed-point IMDCT: the same O(n²/2) loop with Q8.23 coefficients
 /// and integer multiply-accumulates.
+///
+/// # Panics
+///
+/// Panics unless `input` holds 18 lines.
 pub fn imdct_fixed(input: &[f64], ops: &mut OpCounts) -> Vec<f64> {
-    let half = input.len();
-    let n = 2 * half;
-    let win = window(n);
-    let mut out = vec![0.0_f64; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (k, &y) in input.iter().enumerate() {
-            acc += quantize_q23(y) * quantize_q23(cos_factor(i, k, n));
-            ops.add(InstructionClass::IntMac, 1);
-            ops.add(InstructionClass::Load, 2);
-            ops.add_memory(MemoryRegion::Sram, 1);
-        }
-        *o = quantize_q23(acc * win[i]);
-        ops.add(InstructionClass::IntMul, 1);
-        ops.add(InstructionClass::Store, 1);
-    }
+    let out = transform(input, &tables().cos_q23, quantize_q23);
+    // Per output: `HALF` integer MACs with two loads each from SRAM, then
+    // one windowing multiply and a store.
+    ops.add(InstructionClass::IntMac, N * HALF);
+    ops.add(InstructionClass::Load, 2 * N * HALF);
+    ops.add_memory(MemoryRegion::Sram, N * HALF);
+    ops.add(InstructionClass::IntMul, N);
+    ops.add(InstructionClass::Store, N);
     out
 }
 
 /// IPP-style fast IMDCT: even/odd decomposition reduces the multiply count to
 /// roughly a third of the naive loop, tables live in SRAM and the loop is
 /// unrolled (fewer issue overheads per MAC).
+///
+/// # Panics
+///
+/// Panics unless `input` holds 18 lines.
 pub fn imdct_ipp(input: &[f64], ops: &mut OpCounts) -> Vec<f64> {
-    let half = input.len();
-    let n = 2 * half;
-    let win = window(n);
     // Even/odd split of the inputs: x_i for the fast algorithm is computed
     // from two half-length dot products that share cosine sub-tables. The
     // numeric result is identical (up to quantization); only the operation
     // count differs.
-    let mut out = vec![0.0_f64; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (k, &y) in input.iter().enumerate() {
-            acc += quantize_q23(y) * quantize_q23(cos_factor(i, k, n));
-        }
-        *o = quantize_q23(acc * win[i]);
-    }
+    let out = transform(input, &tables().cos_q23, quantize_q23);
     // Cost model of the fast algorithm (per block): ~n/2·n/3 MACs, SRAM tables,
     // unrolled loads.
-    let macs = (half * half / 3 + half) as u64;
+    let macs = HALF * HALF / 3 + HALF;
     ops.add(InstructionClass::IntMac, macs);
-    ops.add(InstructionClass::IntMul, half as u64);
+    ops.add(InstructionClass::IntMul, HALF);
     ops.add(InstructionClass::Load, macs / 2);
-    ops.add(InstructionClass::Store, n as u64);
+    ops.add(InstructionClass::Store, N);
     ops.add_memory(MemoryRegion::Sram, macs / 4);
     out
 }
@@ -150,7 +195,6 @@ pub fn imdct_polynomial(i: usize, n: usize) -> Poly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::IMDCT_SIZE;
 
     fn test_input() -> Vec<f64> {
         (0..LINES_PER_SUBBAND)
@@ -203,6 +247,24 @@ mod tests {
         let ci = badge.cost_of(&i).cycles;
         assert!(cr > 10 * cf, "float {cr} vs fixed {cf}");
         assert!(cf > 2 * ci, "fixed {cf} vs ipp {ci}");
+    }
+
+    #[test]
+    #[should_panic(expected = "18-line blocks")]
+    fn other_block_sizes_are_rejected() {
+        imdct_fixed(&[0.0; 12], &mut OpCounts::new());
+    }
+
+    #[test]
+    fn charges_match_the_loop_structure() {
+        let mut ops = OpCounts::new();
+        imdct_reference(&test_input(), &mut ops);
+        // 36 outputs of 18 MACs each, plus one windowing multiply and one
+        // store per output.
+        assert_eq!(ops.count(InstructionClass::FloatMulSoft), 36 * 18 + 36);
+        assert_eq!(ops.count(InstructionClass::FloatAddSoft), 36 * 18);
+        assert_eq!(ops.memory_count(MemoryRegion::Sdram), 36 * 18);
+        assert_eq!(ops.count(InstructionClass::Store), 36);
     }
 
     #[test]

@@ -45,20 +45,6 @@ pub fn process(
         // Derived side signal: a deterministic small perturbation of mid (the
         // synthetic stream codes no independent side channel).
         let s = *m * 0.25;
-        match variant {
-            StereoVariant::Reference => {
-                ops.add(InstructionClass::FloatAddSoft, 2);
-                ops.add(InstructionClass::FloatMulSoft, 2);
-                ops.add(InstructionClass::Load, 2);
-                ops.add(InstructionClass::Store, 2);
-            }
-            StereoVariant::Fixed => {
-                ops.add(InstructionClass::IntAlu, 2);
-                ops.add(InstructionClass::IntMul, 2);
-                ops.add(InstructionClass::Load, 2);
-                ops.add(InstructionClass::Store, 2);
-            }
-        }
         let l = (*m + s) * INV_SQRT2;
         let r = (*m - s) * INV_SQRT2;
         left[i] = l;
@@ -66,6 +52,19 @@ pub fn process(
         // rewrites xr[] in place.
         *m = r;
     }
+    // Per sample: two adds and two multiplies, two loads, two stores.
+    let n = spectrum.len() as u64;
+    let (add, mul) = match variant {
+        StereoVariant::Reference => (
+            InstructionClass::FloatAddSoft,
+            InstructionClass::FloatMulSoft,
+        ),
+        StereoVariant::Fixed => (InstructionClass::IntAlu, InstructionClass::IntMul),
+    };
+    ops.add(add, 2 * n);
+    ops.add(mul, 2 * n);
+    ops.add(InstructionClass::Load, 2 * n);
+    ops.add(InstructionClass::Store, 2 * n);
     left
 }
 

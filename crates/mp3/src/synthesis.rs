@@ -17,6 +17,8 @@
 //! * [`SynthesisVariant::Ipp`] — IPP-style fixed point: fast DCT, SRAM-resident
 //!   tables, unrolled windowing.
 
+use std::sync::OnceLock;
+
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::Var;
 use symmap_numeric::Rational;
@@ -69,13 +71,43 @@ pub fn synthesis_window() -> Vec<f64> {
         .collect()
 }
 
+/// The matrixing coefficients and window, computed once per process, exact
+/// (for the reference variant) and rounded to the fixed-point kernels'
+/// precision.
+struct Tables {
+    /// `matrix[i][k] = matrix_coefficient(i, k)`.
+    matrix: [[f64; SUBBANDS]; MATRIX_OUT],
+    /// `matrix` rounded with `q31`.
+    matrix_q31: [[f64; SUBBANDS]; MATRIX_OUT],
+    /// `synthesis_window()`.
+    window: [f64; WINDOW_LEN],
+    /// `window` rounded with `q31`.
+    window_q31: [f64; WINDOW_LEN],
+}
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let matrix: [[f64; SUBBANDS]; MATRIX_OUT] =
+            std::array::from_fn(|i| std::array::from_fn(|k| matrix_coefficient(i, k)));
+        let window: [f64; WINDOW_LEN] = synthesis_window()
+            .try_into()
+            .expect("the synthesis window has WINDOW_LEN taps");
+        Tables {
+            matrix_q31: matrix.map(|row| row.map(q31)),
+            matrix,
+            window_q31: window.map(q31),
+            window,
+        }
+    })
+}
+
 /// Stateful polyphase synthesis filter (the 1024-entry FIFO persists across
 /// time slots, as in the standard).
 #[derive(Debug, Clone)]
 pub struct PolyphaseSynthesis {
     variant: SynthesisVariant,
     fifo: Vec<f64>,
-    window: Vec<f64>,
 }
 
 impl PolyphaseSynthesis {
@@ -84,7 +116,6 @@ impl PolyphaseSynthesis {
         PolyphaseSynthesis {
             variant,
             fifo: vec![0.0; FIFO_LEN],
-            window: synthesis_window(),
         }
     }
 
@@ -106,18 +137,26 @@ impl PolyphaseSynthesis {
             "synthesis expects 32 subband samples"
         );
         let quantize = self.variant != SynthesisVariant::Reference;
+        let t = tables();
+        let round = |v: f64| if quantize { q31(v) } else { v };
+        let (matrix, window) = if quantize {
+            (&t.matrix_q31, &t.window_q31)
+        } else {
+            (&t.matrix, &t.window)
+        };
 
         // 1. Matrixing: 64 outputs from 32 inputs.
-        let mut v = vec![0.0_f64; MATRIX_OUT];
-        for (i, vi) in v.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (k, &s) in bands.iter().enumerate() {
-                let c = matrix_coefficient(i, k);
-                let (cq, sq) = if quantize { (q31(c), q31(s)) } else { (c, s) };
-                acc += cq * sq;
-            }
-            *vi = if quantize { q31(acc) } else { acc };
-        }
+        let inputs: Vec<f64> = bands.iter().map(|&s| round(s)).collect();
+        let v: Vec<f64> = matrix
+            .iter()
+            .map(|row| {
+                let mut acc = 0.0;
+                for (&c, &s) in row.iter().zip(&inputs) {
+                    acc += c * s;
+                }
+                round(acc)
+            })
+            .collect();
         self.charge_matrixing(ops);
 
         // 2. Shift the FIFO by 64 and insert the new block.
@@ -127,21 +166,17 @@ impl PolyphaseSynthesis {
         ops.add(InstructionClass::Store, MATRIX_OUT as u64);
 
         // 3. Windowing: 32 PCM samples, 16 taps each.
-        let mut pcm = vec![0.0_f64; SUBBANDS];
-        for (j, p) in pcm.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for tap in 0..16 {
-                let fifo_index = (tap * 64 + ((tap % 2) * 32) + j) % FIFO_LEN;
-                let w = self.window[(tap * 32 + j) % WINDOW_LEN];
-                let (wq, fq) = if quantize {
-                    (q31(w), q31(self.fifo[fifo_index]))
-                } else {
-                    (w, self.fifo[fifo_index])
-                };
-                acc += wq * fq;
-            }
-            *p = if quantize { q31(acc) } else { acc };
-        }
+        let pcm = (0..SUBBANDS)
+            .map(|j| {
+                let mut acc = 0.0;
+                for tap in 0..16 {
+                    let fifo_index = (tap * 64 + ((tap % 2) * 32) + j) % FIFO_LEN;
+                    let w = window[(tap * 32 + j) % WINDOW_LEN];
+                    acc += w * round(self.fifo[fifo_index]);
+                }
+                round(acc)
+            })
+            .collect();
         self.charge_windowing(ops);
         pcm
     }

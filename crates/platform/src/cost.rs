@@ -7,10 +7,11 @@
 //! representative (they reproduce the relative gaps the paper measures, not
 //! the absolute hardware counts).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::memory::MemoryRegion;
 
 /// Classes of dynamic operations the cost model distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -88,57 +89,64 @@ impl fmt::Display for InstructionClass {
     }
 }
 
+/// Number of [`InstructionClass`] variants (the length of per-class arrays).
+const CLASSES: usize = InstructionClass::ALL.len();
+/// Number of [`MemoryRegion`] variants (the length of per-region arrays).
+const REGIONS: usize = MemoryRegion::ALL.len();
+
 /// Cycle costs per instruction class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
-    cycles: BTreeMap<InstructionClass, u64>,
+    /// Cycles per class, indexed by the class discriminant.
+    cycles: [u64; CLASSES],
 }
 
 impl CostModel {
     /// The StrongARM SA-1110 model used throughout the reproduction.
     pub fn sa1110() -> Self {
         use InstructionClass::*;
-        let mut cycles = BTreeMap::new();
-        cycles.insert(IntAlu, 1);
-        cycles.insert(IntMul, 3);
-        cycles.insert(IntMac, 3);
-        cycles.insert(IntDiv, 22);
-        cycles.insert(Load, 2);
-        cycles.insert(Store, 2);
-        cycles.insert(Branch, 2);
-        cycles.insert(Call, 6);
-        // Software floating-point emulation on an FPU-less ARM costs roughly
-        // two orders of magnitude more than the integer equivalents.
-        cycles.insert(FloatAddSoft, 90);
-        cycles.insert(FloatMulSoft, 110);
-        cycles.insert(FloatDivSoft, 240);
-        cycles.insert(FloatConvSoft, 60);
-        cycles.insert(LibmCall, 4_000);
-        cycles.insert(TableLookup, 3);
-        CostModel { cycles }
+        CostModel {
+            cycles: [0; CLASSES],
+        }
+        .with_cycles(IntAlu, 1)
+        .with_cycles(IntMul, 3)
+        .with_cycles(IntMac, 3)
+        .with_cycles(IntDiv, 22)
+        .with_cycles(Load, 2)
+        .with_cycles(Store, 2)
+        .with_cycles(Branch, 2)
+        .with_cycles(Call, 6)
+        // Software floating-point emulation on an FPU-less ARM costs
+        // roughly two orders of magnitude more than the integer
+        // equivalents.
+        .with_cycles(FloatAddSoft, 90)
+        .with_cycles(FloatMulSoft, 110)
+        .with_cycles(FloatDivSoft, 240)
+        .with_cycles(FloatConvSoft, 60)
+        .with_cycles(LibmCall, 4_000)
+        .with_cycles(TableLookup, 3)
     }
 
     /// A hypothetical core with a hardware FPU (used only in tests and
     /// ablations to show the float/fixed gap collapsing).
     pub fn with_hardware_fpu() -> Self {
         use InstructionClass::*;
-        let mut m = CostModel::sa1110();
-        m.cycles.insert(FloatAddSoft, 3);
-        m.cycles.insert(FloatMulSoft, 4);
-        m.cycles.insert(FloatDivSoft, 18);
-        m.cycles.insert(FloatConvSoft, 3);
-        m.cycles.insert(LibmCall, 200);
-        m
+        CostModel::sa1110()
+            .with_cycles(FloatAddSoft, 3)
+            .with_cycles(FloatMulSoft, 4)
+            .with_cycles(FloatDivSoft, 18)
+            .with_cycles(FloatConvSoft, 3)
+            .with_cycles(LibmCall, 200)
     }
 
     /// Cycles charged for one operation of the given class.
     pub fn cycles_for(&self, class: InstructionClass) -> u64 {
-        self.cycles.get(&class).copied().unwrap_or(1)
+        self.cycles[class as usize]
     }
 
     /// Overrides the cost of one class (returns self for chaining).
     pub fn with_cycles(mut self, class: InstructionClass, cycles: u64) -> Self {
-        self.cycles.insert(class, cycles);
+        self.cycles[class as usize] = cycles;
         self
     }
 
@@ -156,10 +164,14 @@ impl Default for CostModel {
 
 /// A bag of dynamic operation counts, the unit of exchange between workload
 /// kernels and the platform model.
+///
+/// Counts live in fixed arrays indexed by the class and region discriminants,
+/// so charging an operation is one add: kernels charge whole loops at a time
+/// and the bag never allocates.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpCounts {
-    counts: BTreeMap<InstructionClass, u64>,
-    loads_by_region: BTreeMap<crate::memory::MemoryRegion, u64>,
+    counts: [u64; CLASSES],
+    memory: [u64; REGIONS],
 }
 
 impl OpCounts {
@@ -170,56 +182,60 @@ impl OpCounts {
 
     /// Adds `n` operations of a class.
     pub fn add(&mut self, class: InstructionClass, n: u64) {
-        if n > 0 {
-            *self.counts.entry(class).or_insert(0) += n;
-        }
+        self.counts[class as usize] += n;
     }
 
     /// Adds `n` memory accesses attributed to a specific region (in addition
     /// to the [`InstructionClass::Load`]/[`InstructionClass::Store`] issue cost).
-    pub fn add_memory(&mut self, region: crate::memory::MemoryRegion, n: u64) {
-        if n > 0 {
-            *self.loads_by_region.entry(region).or_insert(0) += n;
-        }
+    pub fn add_memory(&mut self, region: MemoryRegion, n: u64) {
+        self.memory[region as usize] += n;
     }
 
     /// Count for one class.
     pub fn count(&self, class: InstructionClass) -> u64 {
-        self.counts.get(&class).copied().unwrap_or(0)
+        self.counts[class as usize]
     }
 
     /// Memory accesses for one region.
-    pub fn memory_count(&self, region: crate::memory::MemoryRegion) -> u64 {
-        self.loads_by_region.get(&region).copied().unwrap_or(0)
+    pub fn memory_count(&self, region: MemoryRegion) -> u64 {
+        self.memory[region as usize]
     }
 
-    /// Iterates over `(class, count)` pairs.
+    /// Iterates over the `(class, count)` pairs with a non-zero count, in
+    /// [`InstructionClass`] order.
     pub fn iter(&self) -> impl Iterator<Item = (InstructionClass, u64)> + '_ {
-        self.counts.iter().map(|(&c, &n)| (c, n))
+        InstructionClass::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, n)| n > 0)
     }
 
-    /// Iterates over `(region, accesses)` pairs.
-    pub fn memory_iter(&self) -> impl Iterator<Item = (crate::memory::MemoryRegion, u64)> + '_ {
-        self.loads_by_region.iter().map(|(&r, &n)| (r, n))
+    /// Iterates over the `(region, accesses)` pairs with a non-zero count, in
+    /// [`MemoryRegion`] order.
+    pub fn memory_iter(&self) -> impl Iterator<Item = (MemoryRegion, u64)> + '_ {
+        MemoryRegion::ALL
+            .into_iter()
+            .zip(self.memory)
+            .filter(|&(_, n)| n > 0)
     }
 
     /// Total dynamic operation count (excluding region-attributed accesses).
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Returns `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty() && self.loads_by_region.is_empty()
+        self.counts.iter().chain(&self.memory).all(|&n| n == 0)
     }
 
     /// Merges another bag into this one.
     pub fn merge(&mut self, other: &OpCounts) {
-        for (c, n) in other.iter() {
-            self.add(c, n);
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
         }
-        for (r, n) in other.memory_iter() {
-            self.add_memory(r, n);
+        for (a, b) in self.memory.iter_mut().zip(other.memory) {
+            *a += b;
         }
     }
 
@@ -228,34 +244,26 @@ impl OpCounts {
     /// a single invocation of a library element.
     pub fn divided(&self, k: u64) -> OpCounts {
         let k = k.max(1);
-        let mut out = OpCounts::new();
-        for (c, n) in self.iter() {
-            out.add(c, (n / k).max(1));
-        }
-        for (r, n) in self.memory_iter() {
-            out.add_memory(r, (n / k).max(1));
-        }
-        out
+        self.map(|n| if n > 0 { (n / k).max(1) } else { 0 })
     }
 
     /// Returns a bag with every count multiplied by `k` (e.g. per-granule
     /// counts scaled to a whole frame).
     pub fn scaled(&self, k: u64) -> OpCounts {
-        let mut out = OpCounts::new();
-        for (c, n) in self.iter() {
-            out.add(c, n * k);
+        self.map(|n| n * k)
+    }
+
+    fn map(&self, f: impl Fn(u64) -> u64) -> OpCounts {
+        OpCounts {
+            counts: self.counts.map(&f),
+            memory: self.memory.map(&f),
         }
-        for (r, n) in self.memory_iter() {
-            out.add_memory(r, n * k);
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemoryRegion;
 
     #[test]
     fn sa1110_penalizes_software_float() {
@@ -340,5 +348,73 @@ mod tests {
     fn display_names_are_kebab_case() {
         assert_eq!(InstructionClass::FloatMulSoft.to_string(), "float-mul-soft");
         assert_eq!(InstructionClass::IntAlu.to_string(), "int-alu");
+    }
+
+    #[test]
+    fn iteration_is_in_enum_order_and_skips_zeros() {
+        let mut ops = OpCounts::new();
+        ops.add(InstructionClass::TableLookup, 4);
+        ops.add(InstructionClass::IntMul, 0);
+        ops.add(InstructionClass::IntAlu, 1);
+        ops.add(InstructionClass::Load, 2);
+        ops.add_memory(MemoryRegion::Flash, 3);
+        ops.add_memory(MemoryRegion::Sdram, 0);
+        ops.add_memory(MemoryRegion::Sram, 5);
+        let classes: Vec<_> = ops.iter().collect();
+        assert_eq!(
+            classes,
+            vec![
+                (InstructionClass::IntAlu, 1),
+                (InstructionClass::Load, 2),
+                (InstructionClass::TableLookup, 4),
+            ]
+        );
+        let regions: Vec<_> = ops.memory_iter().collect();
+        assert_eq!(
+            regions,
+            vec![(MemoryRegion::Sram, 5), (MemoryRegion::Flash, 3)]
+        );
+    }
+
+    #[test]
+    fn adding_zero_records_nothing() {
+        let mut ops = OpCounts::new();
+        ops.add(InstructionClass::IntDiv, 0);
+        ops.add_memory(MemoryRegion::Sram, 0);
+        assert!(ops.is_empty());
+        assert_eq!(ops, OpCounts::new());
+        assert_eq!(ops.iter().count(), 0);
+        assert_eq!(ops.memory_iter().count(), 0);
+    }
+
+    #[test]
+    fn equality_ignores_insertion_order() {
+        let mut a = OpCounts::new();
+        a.add(InstructionClass::Store, 3);
+        a.add_memory(MemoryRegion::Sdram, 1);
+        a.add(InstructionClass::FloatAddSoft, 7);
+        let mut b = OpCounts::new();
+        b.add(InstructionClass::FloatAddSoft, 5);
+        b.add_memory(MemoryRegion::Sdram, 1);
+        b.add(InstructionClass::Store, 3);
+        b.add(InstructionClass::FloatAddSoft, 2);
+        assert_eq!(a, b);
+        b.add(InstructionClass::Branch, 1);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn divided_keeps_nonzero_counts_nonzero() {
+        let mut ops = OpCounts::new();
+        ops.add(InstructionClass::IntAlu, 10);
+        ops.add(InstructionClass::Load, 1);
+        ops.add_memory(MemoryRegion::Sram, 2);
+        let d = ops.divided(4);
+        assert_eq!(d.count(InstructionClass::IntAlu), 2);
+        assert_eq!(d.count(InstructionClass::Load), 1);
+        assert_eq!(d.count(InstructionClass::IntMul), 0);
+        assert_eq!(d.memory_count(MemoryRegion::Sram), 1);
+        assert_eq!(ops.divided(0), ops);
+        assert!(ops.scaled(0).is_empty());
     }
 }

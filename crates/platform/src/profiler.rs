@@ -119,7 +119,12 @@ impl Profiler {
     /// Records operations attributed to `function`.
     pub fn record(&self, function: &str, ops: &OpCounts) {
         let mut map = self.per_function.lock();
-        map.entry(function.to_string()).or_default().merge(ops);
+        match map.get_mut(function) {
+            Some(acc) => acc.merge(ops),
+            None => {
+                map.insert(function.to_string(), ops.clone());
+            }
+        }
     }
 
     /// Clears all recorded data.
