@@ -6,7 +6,9 @@
 //! counters included. The injection tests then prove the failure handling:
 //! an unlucky prime planted at the front of the stream is outvoted and the
 //! lift still lands on the exact basis, and a starved prime budget produces
-//! a verified fallback, never a wrong basis.
+//! a verified fallback, never a wrong basis. On the katsura-3 ideal of the
+//! `multimodular_lift` bench the lift's work — primes, retries,
+//! reductions — is pinned exactly.
 
 use proptest::prelude::*;
 use symmap_algebra::groebner::{buchberger, GroebnerOptions};
@@ -104,6 +106,36 @@ fn lift_is_byte_identical_to_exact_across_ideals_and_options() {
             assert_eq!(basis.skipped_chain, exact.skipped_chain, "{name}");
         }
     }
+}
+
+/// The katsura-3 lex ideal of the `multimodular_lift` bench: the lift
+/// succeeds and needs exactly as many primes, retries and reductions as
+/// recorded. A change here means the reconstruction needs more images
+/// (coefficient growth, unlucky primes, a vote change) or the mod-p
+/// Buchberger run does different work. The exact run (about half a second)
+/// is left to the bench, which checks byte identity.
+#[test]
+fn katsura3_lift_work_is_pinned() {
+    let gens = [
+        p("u0 + 2*u1 + 2*u2 + 2*u3 - 1/3"),
+        p("u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0"),
+        p("2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1"),
+        p("u1^2 + 2*u0*u2 + 2*u1*u3 - u2"),
+    ];
+    let order = MonomialOrder::lex(&["u0", "u1", "u2", "u3"]);
+    let options = GroebnerOptions {
+        multimodular: false,
+        ..GroebnerOptions::default()
+    };
+    let outcome = multimodular_basis(&gens, &order, &options);
+    let basis = outcome
+        .basis
+        .expect("lift fell back to exact on the katsura-3 ideal");
+    assert_eq!(
+        (outcome.primes_used, outcome.retries, basis.reductions),
+        (3, 2, 46),
+        "katsura-3 lift work (primes used, retries, reductions)"
+    );
 }
 
 /// An unlucky prime planted at the *front* of the stream: mod 3 the tail

@@ -107,8 +107,8 @@ fn applies_under(rule: Rule) -> &'static [&'static str] {
 }
 
 /// Path prefixes exempt from a rule *without* an annotation: the bench crate
-/// is the designated home of timing (`D2`) and of the `SYMMAP_QUICK` /
-/// `SYMMAP_BENCH_*` CI-switch reads (`D5`).
+/// is the designated home of timing (`D2`) and of the `SYMMAP_QUICK`
+/// CI-switch read (`D5`).
 fn allowed_under(rule: Rule) -> &'static [&'static str] {
     match rule {
         Rule::D2 | Rule::D5 => &["crates/bench/"],

@@ -1,18 +1,18 @@
 //! The batch-engine bench: the full 11-kernel MP3 mapping batch at 1 and N
-//! workers, with byte-identical-output verification and the shared budget
-//! table as the deterministic regression guard.
+//! workers.
 //!
 //! Wall-clock speedup is hardware-dependent (it needs real cores), so the
 //! `workers = N ≥ 2×` acceptance assertion only fires when the runner
-//! actually has ≥ 4 hardware threads; the determinism assertion — identical
-//! `MappingSolution`s at every worker count — fires everywhere, every run.
-//! In `SYMMAP_QUICK=1` mode both wall clocks, the speedup and the shared
-//! cache's batch counters are appended to `BENCH.json`.
+//! actually has ≥ 4 hardware threads. Byte-identical solutions at every
+//! worker count are pinned by `tests/engine_determinism.rs`, and the batch's
+//! deterministic work counters by `tests/pricing_golden.rs`. With
+//! `SYMMAP_QUICK=1` the bench samples more thinly and skips the Criterion
+//! runs.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use symmap_bench::{budgets, mp3_kernel_jobs};
+use symmap_bench::{measure_ns, mp3_kernel_jobs};
 use symmap_engine::{BatchResult, EngineConfig, MapperConfig, MappingEngine};
 use symmap_libchar::catalog;
 use symmap_platform::machine::Badge4;
@@ -42,35 +42,13 @@ fn bench(c: &mut Criterion) {
     assert_eq!(jobs.len(), 11, "the MP3 kernel batch is 11 jobs");
     let n = PARALLEL_WORKERS;
 
-    // Deterministic guards first: identical solutions at every worker count,
-    // and the shared reduction-budget table (also asserted by the
-    // groebner_engine bench — same table, one definition).
-    let sequential = run_cold(&jobs, 1);
-    for workers in [2, n] {
-        let parallel = run_cold(&jobs, workers);
-        assert_eq!(
-            format!("{:?}", parallel.outcomes),
-            format!("{:?}", sequential.outcomes),
-            "solutions diverged at {workers} workers"
-        );
-    }
-    for (name, reductions, budget) in budgets::assert_groebner_budgets() {
-        println!("engine_batch budget ok: {name} {reductions}/{budget}");
-    }
-    budgets::assert_elimination_budget();
-    println!(
-        "engine_batch: 11-kernel batch maps {} kernels ({} cache misses cold)",
-        sequential.outcomes.iter().filter(|o| o.is_ok()).count(),
-        sequential.stats.cache_misses()
-    );
-
     // Wall-clock: median of batches at workers = 1 and workers = N, cold
     // cache each iteration so every run does the full basis workload.
     let samples = if quick { 5 } else { 9 };
-    let wall_1 = symmap_bench::quickbench::measure_ns(2, samples, || {
+    let wall_1 = measure_ns(2, samples, || {
         criterion::black_box(run_cold(&jobs, 1));
     });
-    let wall_n = symmap_bench::quickbench::measure_ns(2, samples, || {
+    let wall_n = measure_ns(2, samples, || {
         criterion::black_box(run_cold(&jobs, n));
     });
     let speedup = wall_1 as f64 / wall_n.max(1) as f64;
@@ -88,43 +66,7 @@ fn bench(c: &mut Criterion) {
              on a ≥ 4-core runner (got {speedup:.2}x)"
         );
     }
-
     if quick {
-        use symmap_bench::quickbench;
-        let note = quickbench::run_note();
-        let stats = &sequential.stats;
-        // hw_threads is a structured entry field now; the note keeps only
-        // what the schema cannot carry (speedup, worker count, cache deltas).
-        let cache_note = format!(
-            "speedup {speedup:.2}x @{n}w; cold cache {}h/{}m/{}e/{}a",
-            stats.cache_hits(),
-            stats.cache_misses(),
-            stats.cache_evictions(),
-            stats.cache_alpha_hits(),
-        );
-        let full_note = if note.is_empty() {
-            cache_note
-        } else {
-            format!("{note}; {cache_note}")
-        };
-        quickbench::append_entries(&[
-            quickbench::QuickEntry {
-                note: full_note.clone(),
-                ..quickbench::entry("engine_batch/mp3-11-kernels/workers-1", wall_1, None)
-            },
-            quickbench::QuickEntry {
-                note: full_note,
-                ..quickbench::entry(
-                    format!("engine_batch/mp3-11-kernels/workers-{n}"),
-                    wall_n,
-                    None,
-                )
-            },
-        ]);
-        println!(
-            "recorded engine_batch entries to {}",
-            quickbench::bench_json_path().display()
-        );
         return;
     }
 

@@ -12,16 +12,16 @@
 //! byte-identical — asserted here before anything is timed.
 //!
 //! Quick mode (`SYMMAP_QUICK=1`) additionally enforces the regression floor
-//! (index ≥ 5× faster than the legacy scan at ≈1024 elements), appends the
-//! measured walls to `BENCH.json`, and writes the prune-rate metrics JSON
-//! that CI uploads as an artifact (`target/trace/prune_metrics.json`).
+//! (index ≥ 5× faster than the legacy scan at ≈1024 elements) and writes the
+//! prune-rate metrics JSON that CI uploads as an artifact
+//! (`target/trace/prune_metrics.json`).
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::poly::Poly;
-use symmap_bench::mp3_kernel_jobs;
+use symmap_bench::{measure_ns, mp3_kernel_jobs};
 use symmap_engine::{EngineConfig, MapJob, MapperConfig, MappingEngine};
 use symmap_libchar::synthetic::synthetic_large_library;
 use symmap_libchar::{Library, LibraryElement};
@@ -111,102 +111,70 @@ fn write_prune_metrics(rows: &[(String, usize, usize, usize, usize)]) {
 fn bench(c: &mut Criterion) {
     let quick = std::env::var("SYMMAP_QUICK").is_ok();
     let badge = Badge4::new();
-
-    if quick {
-        use symmap_bench::quickbench;
-        let mut entries = Vec::new();
-        let mut prune_rows = Vec::new();
-        for (label, groups) in SCALES {
-            let library = Arc::new(synthetic_large_library(&badge, groups));
-            let (rejected, kept, shards_skipped) = assert_identical_solutions(&library);
-            prune_rows.push((
-                label.to_string(),
-                library.len(),
-                rejected,
-                kept,
-                shards_skipped,
-            ));
-
-            let targets: Vec<Poly> = mp3_kernel_jobs(&library, &config(true))
-                .into_iter()
-                .map(|j| j.target)
-                .collect();
-            let fps: Vec<PolyFingerprint> = targets.iter().map(PolyFingerprint::of).collect();
-            // Warm steady state: the candidate scan runs once per mapping
-            // call, so one iteration sweeps all 11 kernels.
-            let index_ns = quickbench::measure_ns(20, 9, || {
-                for fp in &fps {
-                    criterion::black_box(library.candidates(fp));
-                }
-            });
-            // The legacy scan runs hundreds of ms per sweep at the large
-            // scale — sample it thinly (the gap to the index is orders of
-            // magnitude, so sampling noise cannot flip the verdict).
-            let legacy_ns = quickbench::measure_ns(1, 3, || {
-                for t in &targets {
-                    criterion::black_box(legacy_scan(&library, t));
-                }
-            });
-            let ratio = legacy_ns as f64 / index_ns as f64;
-            println!(
-                "large_library — {} elements ({} shards): index {index_ns} ns, \
-                 legacy {legacy_ns} ns, speedup {ratio:.1}x",
-                library.len(),
-                library.shards().len(),
-            );
-            println!(
-                "  prune: {rejected} rejected / {kept} kept, {shards_skipped} shards skipped whole"
-            );
-            if label == "1024" {
-                assert!(
-                    ratio >= 5.0,
-                    "index only {ratio:.1}x faster than the legacy scan at \
-                     ≈1024 elements (floor is 5x)"
-                );
-            }
-            entries.push(quickbench::entry(
-                format!("large_library/scan-{label}-index"),
-                index_ns,
-                None,
-            ));
-            entries.push(quickbench::entry(
-                format!("large_library/scan-{label}-legacy"),
-                legacy_ns,
-                None,
-            ));
-        }
-        quickbench::append_entries(&entries);
-        write_prune_metrics(&prune_rows);
-        println!(
-            "recorded {} entries to {}\n",
-            entries.len(),
-            quickbench::bench_json_path().display()
-        );
-        return;
-    }
+    let mut prune_rows = Vec::new();
 
     for (label, groups) in SCALES {
         let library = Arc::new(synthetic_large_library(&badge, groups));
-        assert_identical_solutions(&library);
+        let (rejected, kept, shards_skipped) = assert_identical_solutions(&library);
+        prune_rows.push((
+            label.to_string(),
+            library.len(),
+            rejected,
+            kept,
+            shards_skipped,
+        ));
         let targets: Vec<Poly> = mp3_kernel_jobs(&library, &config(true))
             .into_iter()
             .map(|j| j.target)
             .collect();
         let fps: Vec<PolyFingerprint> = targets.iter().map(PolyFingerprint::of).collect();
-        c.bench_function(&format!("large_library/scan-{label}-index"), |b| {
-            b.iter(|| {
-                for fp in &fps {
-                    criterion::black_box(library.candidates(fp));
-                }
-            })
-        });
-        c.bench_function(&format!("large_library/scan-{label}-legacy"), |b| {
-            b.iter(|| {
-                for t in &targets {
-                    criterion::black_box(legacy_scan(&library, t));
-                }
-            })
-        });
+        // Warm steady state: the candidate scan runs once per mapping call,
+        // so one iteration sweeps all 11 kernels.
+        let index_sweep = || {
+            for fp in &fps {
+                criterion::black_box(library.candidates(fp));
+            }
+        };
+        let legacy_sweep = || {
+            for t in &targets {
+                criterion::black_box(legacy_scan(&library, t));
+            }
+        };
+
+        if !quick {
+            c.bench_function(&format!("large_library/scan-{label}-index"), |b| {
+                b.iter(index_sweep)
+            });
+            c.bench_function(&format!("large_library/scan-{label}-legacy"), |b| {
+                b.iter(legacy_sweep)
+            });
+            continue;
+        }
+        let index_ns = measure_ns(20, 9, index_sweep);
+        // The legacy scan runs hundreds of ms per sweep at the large scale —
+        // sample it thinly (the gap to the index is orders of magnitude, so
+        // sampling noise cannot flip the verdict).
+        let legacy_ns = measure_ns(1, 3, legacy_sweep);
+        let ratio = legacy_ns as f64 / index_ns as f64;
+        println!(
+            "large_library — {} elements ({} shards): index {index_ns} ns, \
+             legacy {legacy_ns} ns, speedup {ratio:.1}x",
+            library.len(),
+            library.shards().len(),
+        );
+        println!(
+            "  prune: {rejected} rejected / {kept} kept, {shards_skipped} shards skipped whole"
+        );
+        if label == "1024" {
+            assert!(
+                ratio >= 5.0,
+                "index only {ratio:.1}x faster than the legacy scan at \
+                 ≈1024 elements (floor is 5x)"
+            );
+        }
+    }
+    if quick {
+        write_prune_metrics(&prune_rows);
     }
 }
 

@@ -6,14 +6,16 @@
 //! `GroebnerOptions::multimodular` is set, verification included, and
 //! asserts its output byte-identical to the exact engine's. The regression
 //! guard is the lift's reason to exist: at least 5× faster than exact on
-//! this ideal (asserted in quick mode, where the CI perfgate also records
-//! the walls and the prime count to BENCH.json).
+//! this ideal (asserted in quick mode). The lift's prime count, retries and
+//! reduction count on this ideal are pinned exactly by
+//! `crates/algebra/tests/multimodular_differential.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use symmap_algebra::groebner::{buchberger, GroebnerOptions};
 use symmap_algebra::multimodular::multimodular_basis;
 use symmap_algebra::ordering::MonomialOrder;
 use symmap_algebra::poly::Poly;
+use symmap_bench::measure_ns;
 
 fn p(s: &str) -> Poly {
     Poly::parse(s).unwrap()
@@ -63,13 +65,12 @@ fn bench(c: &mut Criterion) {
     let primes_used = outcome.primes_used;
 
     if quick {
-        use symmap_bench::quickbench;
         // The exact run is ~half a second per iteration — sample it thinly;
         // the lift is a few ms and affords the usual sampling.
-        let exact_ns = quickbench::measure_ns(1, 3, || {
+        let exact_ns = measure_ns(1, 3, || {
             criterion::black_box(buchberger(&gens, &order, &options));
         });
-        let lift_ns = quickbench::measure_ns(5, 9, || {
+        let lift_ns = measure_ns(5, 9, || {
             criterion::black_box(multimodular_basis(&gens, &order, &options));
         });
         let ratio = exact_ns as f64 / lift_ns as f64;
@@ -80,32 +81,6 @@ fn bench(c: &mut Criterion) {
         assert!(
             ratio >= 5.0,
             "verified lift only {ratio:.1}x faster than exact (floor is 5x)"
-        );
-        let entries = vec![
-            quickbench::entry(
-                "multimodular_lift/katsura3-lex-exact-q",
-                exact_ns,
-                Some(exact.reductions as u64),
-            ),
-            quickbench::entry(
-                "multimodular_lift/katsura3-lex-lifted",
-                lift_ns,
-                Some(lifted.reductions as u64),
-            ),
-            // The prime count rides along as a wall-less trajectory marker:
-            // a jump here means the reconstruction started needing more
-            // images (coefficient growth, unlucky primes, a vote change).
-            quickbench::entry(
-                "multimodular_lift/katsura3-lex-primes-used",
-                primes_used as u128,
-                None,
-            ),
-        ];
-        quickbench::append_entries(&entries);
-        println!(
-            "recorded {} entries to {}\n",
-            entries.len(),
-            quickbench::bench_json_path().display()
         );
         return;
     }

@@ -4,17 +4,12 @@
 //!
 //! The `groebner_engine` bench measures the *algorithm* (pair selection,
 //! criteria, memoization); this one measures the *representation* the
-//! algorithm runs on, so a data-layout change shows up here first. In
-//! `SYMMAP_QUICK=1` mode every workload is timed with the in-tree
-//! median-of-batches sampler and appended to `BENCH.json` (see
-//! [`symmap_bench::quickbench`]); without the env var the same workloads run
-//! under Criterion.
+//! algorithm runs on, so a data-layout change shows up here first.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use symmap_algebra::division::normal_form;
 use symmap_algebra::ordering::MonomialOrder;
 use symmap_algebra::poly::Poly;
-use symmap_bench::quickbench;
 
 fn p(s: &str) -> Poly {
     Poly::parse(s).unwrap()
@@ -93,23 +88,6 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn bench(criterion: &mut Criterion) {
-    let quick = std::env::var("SYMMAP_QUICK").is_ok();
-    if quick {
-        let mut entries = Vec::new();
-        println!("\npoly_arith — quick wall-clock (median of batches)");
-        for (name, mut f) in workloads() {
-            let wall_ns = quickbench::measure_ns(20, 9, &mut *f);
-            println!("{name:<28} {wall_ns:>12} ns/iter");
-            entries.push(quickbench::entry(name, wall_ns, None));
-        }
-        quickbench::append_entries(&entries);
-        println!(
-            "recorded {} entries to {}\n",
-            entries.len(),
-            quickbench::bench_json_path().display()
-        );
-        return;
-    }
     for (name, mut f) in workloads() {
         criterion.bench_function(name, move |b| b.iter(&mut *f));
     }

@@ -8,15 +8,13 @@
 //! run the identical cold-cache batch (the trace-determinism suite already
 //! pins that outcomes are byte-identical), so the ratio isolates pure
 //! recording cost. One remeasure (taking the per-side minimum) absorbs
-//! scheduler noise before the gate fails.
-//!
-//! In `SYMMAP_QUICK=1` mode both wall clocks are appended to `BENCH.json`,
-//! where `perfgate` gates them across runs like every other entry.
+//! scheduler noise before the gate fails. With `SYMMAP_QUICK=1` the bench
+//! samples more thinly and skips the Criterion runs.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use symmap_bench::{mp3_kernel_jobs, quickbench};
+use symmap_bench::{measure_ns, mp3_kernel_jobs};
 use symmap_engine::{BatchResult, EngineConfig, MapJob, MapperConfig, MappingEngine};
 use symmap_libchar::catalog;
 use symmap_platform::machine::Badge4;
@@ -37,10 +35,10 @@ fn run_cold(jobs: &[MapJob], trace: bool) -> BatchResult {
 }
 
 fn measure_pair(jobs: &[MapJob], samples: usize) -> (u128, u128) {
-    let off = quickbench::measure_ns(2, samples, || {
+    let off = measure_ns(2, samples, || {
         criterion::black_box(run_cold(jobs, false));
     });
-    let on = quickbench::measure_ns(2, samples, || {
+    let on = measure_ns(2, samples, || {
         criterion::black_box(run_cold(jobs, true));
     });
     (off, on)
@@ -88,29 +86,6 @@ fn bench(c: &mut Criterion) {
     );
 
     if quick {
-        let note = {
-            let base = quickbench::run_note();
-            let overhead = format!("trace overhead {ratio:.3}x");
-            if base.is_empty() {
-                overhead
-            } else {
-                format!("{base}; {overhead}")
-            }
-        };
-        quickbench::append_entries(&[
-            quickbench::QuickEntry {
-                note: note.clone(),
-                ..quickbench::entry("trace_overhead/mp3-11-kernels/trace-off", wall_off, None)
-            },
-            quickbench::QuickEntry {
-                note,
-                ..quickbench::entry("trace_overhead/mp3-11-kernels/trace-on", wall_on, None)
-            },
-        ]);
-        println!(
-            "recorded trace_overhead entries to {}",
-            quickbench::bench_json_path().display()
-        );
         return;
     }
 

@@ -19,15 +19,15 @@
 //! The gate: the ring-local wall clock on the wide ideals must stay within
 //! [`RATIO_GATE`]× of the baseline — the computation is instruction-identical
 //! after localization, so only the one-pass ring boundary may differ — while
-//! the recorded pre-ring numbers document the proportional blowup the layer
-//! removed. All three wall clocks land in `BENCH.json` per ideal.
+//! the printed pre-ring numbers document the proportional blowup the layer
+//! removed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use symmap_algebra::groebner::{buchberger, buchberger_unringed, GroebnerOptions};
 use symmap_algebra::ordering::MonomialOrder;
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::{Var, VarSet};
-use symmap_bench::quickbench;
+use symmap_bench::measure_ns;
 
 /// Unused symbols interned between the baseline and wide phases.
 const FILLER_SYMBOLS: usize = 4096;
@@ -38,8 +38,8 @@ const FILLER_SYMBOLS: usize = 4096;
 /// the one-pass support scan of the wide *input* polynomials (they are
 /// global `Poly` values — reading them is proportional to their storage), so
 /// the smallest ideal sits nearer the gate than the larger ones; the
-/// aggregate is the stable statistic. Per-ideal ratios are printed and
-/// recorded either way.
+/// aggregate is the stable statistic. Per-ideal ratios are printed either
+/// way.
 const RATIO_GATE: f64 = 1.2;
 
 /// One staged workload: name, generators, order, and the exact reduction
@@ -84,7 +84,7 @@ fn staged_ideals(prefix: &str) -> Vec<StagedIdeal> {
 }
 
 fn ring_wall(ideal: &StagedIdeal, iters: u32, samples: usize) -> u128 {
-    quickbench::measure_ns(iters, samples, || {
+    measure_ns(iters, samples, || {
         criterion::black_box(buchberger(
             &ideal.generators,
             &ideal.order,
@@ -140,7 +140,6 @@ fn bench(c: &mut Criterion) {
     let (iters, samples, rounds) = (20, 7, 5);
     struct Measured {
         name: &'static str,
-        reductions: u64,
         base_ns: u128,
         ring_ns: u128,
         pre_ns: u128,
@@ -158,7 +157,7 @@ fn bench(c: &mut Criterion) {
                 }
                 // The pre-ring path pays the interner width on every monomial
                 // op; a handful of iterations documents the blowup.
-                let pre_ns = quickbench::measure_ns(2, 5, || {
+                let pre_ns = measure_ns(2, 5, || {
                     criterion::black_box(buchberger_unringed(
                         &wid.generators,
                         &wid.order,
@@ -167,7 +166,6 @@ fn bench(c: &mut Criterion) {
                 });
                 Measured {
                     name: nar.name,
-                    reductions: nar.expected_reductions as u64,
                     base_ns,
                     ring_ns,
                     pre_ns,
@@ -197,25 +195,12 @@ fn bench(c: &mut Criterion) {
         "{:<24} {:>14} {:>14} {:>8} {:>14}",
         "ideal", "baseline ns", "ring-local ns", "ratio", "pre-ring ns"
     );
-    let mut entries = Vec::new();
     for m in &measured {
         let ratio = m.ring_ns as f64 / m.base_ns.max(1) as f64;
         println!(
             "{:<24} {:>14} {:>14} {ratio:>7.2}x {:>14}",
             m.name, m.base_ns, m.ring_ns, m.pre_ns
         );
-        let reductions = Some(m.reductions);
-        for (suffix, wall_ns) in [
-            ("baseline", m.base_ns),
-            ("ring-local", m.ring_ns),
-            ("pre-ring", m.pre_ns),
-        ] {
-            entries.push(quickbench::entry(
-                format!("wide_interner/{}/{suffix}", m.name),
-                wall_ns,
-                reductions,
-            ));
-        }
     }
     println!("aggregate ring-local/baseline ratio: {aggregate:.2}x (gate {RATIO_GATE}x)");
     assert!(
@@ -226,12 +211,6 @@ fn bench(c: &mut Criterion) {
     );
 
     if quick {
-        quickbench::append_entries(&entries);
-        println!(
-            "recorded {} entries to {}\n",
-            entries.len(),
-            quickbench::bench_json_path().display()
-        );
         return;
     }
 

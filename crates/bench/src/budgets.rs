@@ -4,8 +4,8 @@
 //! (no wall clock involved), so fixed budgets make perfect CI regression
 //! guards: exceeding one is a real selection/criteria regression, never
 //! noise. This module owns the canonical workloads *and* their budgets in
-//! one place, so the `groebner_engine` and `engine_batch` benches assert the
-//! same table instead of each carrying a private copy.
+//! one place: its unit tests assert the table, the `groebner_engine` bench
+//! times the same workloads, and the ring differential tests reuse them.
 //!
 //! Budgets are the seed engine's deterministic counts (linear-scan queue +
 //! coprime criterion only): 7 on the twisted cubic, 11 on the mapper ideal.
@@ -24,7 +24,7 @@ fn p(s: &str) -> Poly {
 /// A canonical Gröbner workload, with a fixed reduction budget when it
 /// serves as a regression guard (`None` = tracked for display only).
 pub struct BudgetedIdeal {
-    /// Stable display name (also the BENCH.json bench suffix).
+    /// Stable display name.
     pub name: &'static str,
     /// Ideal generators.
     pub generators: Vec<Poly>,
@@ -77,6 +77,44 @@ pub fn circle_system() -> BudgetedIdeal {
 /// Every tracked workload, in display order.
 pub fn budgeted_ideals() -> Vec<BudgetedIdeal> {
     vec![twisted_cubic(), mapper_side_relations(), circle_system()]
+}
+
+/// The option grid the `groebner_engine` bench prints reduction counts for:
+/// the default engine, each Buchberger criterion switched off, both off, and
+/// the sugar tiebreak.
+pub fn option_configurations() -> Vec<(&'static str, GroebnerOptions)> {
+    vec![
+        ("full", GroebnerOptions::default()),
+        (
+            "no-chain",
+            GroebnerOptions {
+                use_chain_criterion: false,
+                ..Default::default()
+            },
+        ),
+        (
+            "no-coprime",
+            GroebnerOptions {
+                use_coprime_criterion: false,
+                ..Default::default()
+            },
+        ),
+        (
+            "no-criteria",
+            GroebnerOptions {
+                use_coprime_criterion: false,
+                use_chain_criterion: false,
+                ..Default::default()
+            },
+        ),
+        (
+            "sugar",
+            GroebnerOptions {
+                use_sugar_tiebreak: true,
+                ..Default::default()
+            },
+        ),
+    ]
 }
 
 /// Asserts one computed basis against its workload's budget (no-op for
@@ -150,6 +188,17 @@ mod tests {
         assert_eq!(by_name["twisted-cubic"], 5);
         assert_eq!(by_name["mapper-side-relations"], 7);
         assert_eq!(by_name["circle-system"], 2);
+        // Every option configuration completes on every workload.
+        for ideal in budgeted_ideals() {
+            for (config, options) in option_configurations() {
+                let gb = buchberger(&ideal.generators, &ideal.order, &options);
+                assert!(
+                    gb.complete,
+                    "{}/{config} hit the iteration bound",
+                    ideal.name
+                );
+            }
+        }
     }
 
     #[test]

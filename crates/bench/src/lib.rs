@@ -17,9 +17,9 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod budgets;
-pub mod quickbench;
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use symmap_algebra::ordering::MonomialOrder;
 use symmap_algebra::poly::Poly;
@@ -139,6 +139,28 @@ pub fn imdct_reduction_workload() -> (Poly, Vec<Poly>, MonomialOrder) {
     (target, relations.generators(), order)
 }
 
+/// Median per-iteration wall clock of `f`, in nanoseconds: the same-run
+/// sampler behind the benches' speedup and overhead assertions.
+///
+/// Runs `samples` timed batches of `iters` calls each after a small warm-up
+/// and reports the median batch divided by `iters` — robust against one-off
+/// scheduler noise without needing a statistics dependency.
+pub fn measure_ns<F: FnMut()>(iters: u32, samples: usize, mut f: F) -> u128 {
+    for _ in 0..iters.min(3) {
+        f();
+    }
+    let mut batches: Vec<u128> = Vec::with_capacity(samples.max(1));
+    for _ in 0..samples.max(1) {
+        let start = Instant::now();
+        for _ in 0..iters.max(1) {
+            f();
+        }
+        batches.push(start.elapsed().as_nanos());
+    }
+    batches.sort_unstable();
+    batches[batches.len() / 2] / iters.max(1) as u128
+}
+
 /// Measures a single named version (used by the per-table benches).
 pub fn measure_version(name: &str, badge: &Badge4, frames: usize) -> CodeVersion {
     let pipeline = pipeline_for(name, badge, frames).unwrap_or_else(|| {
@@ -180,6 +202,15 @@ mod tests {
                 "{label}"
             );
         }
+    }
+
+    #[test]
+    fn measure_returns_positive_for_nontrivial_work() {
+        let ns = measure_ns(4, 3, || {
+            let v: Vec<u64> = (0..512).collect();
+            assert_eq!(criterion::black_box(v).len(), 512);
+        });
+        assert!(ns > 0);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    bit_pos: u8,
+    /// Bits written but not yet in `bytes`, right-aligned; fewer than 8.
+    pending: u32,
+    pending_len: u8,
 }
 
 impl BitWriter {
@@ -25,33 +27,27 @@ impl BitWriter {
     /// Panics if `count > 32`.
     pub fn write_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
-        for i in (0..count).rev() {
-            let bit = (value >> i) & 1;
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("byte pushed above");
-            *last |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
+        let bits = (u64::from(self.pending) << count) | (u64::from(value) & ((1 << count) - 1));
+        let mut len = self.pending_len + count;
+        while len >= 8 {
+            len -= 8;
+            self.bytes.push((bits >> len) as u8);
         }
+        self.pending = (bits & ((1 << len) - 1)) as u32;
+        self.pending_len = len;
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bytes.is_empty() {
-            0
-        } else {
-            (self.bytes.len() - 1) * 8
-                + if self.bit_pos == 0 {
-                    8
-                } else {
-                    self.bit_pos as usize
-                }
-        }
+        self.bytes.len() * 8 + self.pending_len as usize
     }
 
     /// Finishes writing and returns the bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending_len > 0 {
+            self.bytes
+                .push((self.pending << (8 - self.pending_len)) as u8);
+        }
         self.bytes
     }
 }

@@ -212,13 +212,15 @@ impl Decoder {
     }
 
     fn decode_granule(&mut self, granule: &Granule, profiler: &Profiler) -> Vec<f64> {
-        // 1. Huffman decoding (re-encode the synthetic granule, then decode,
-        //    so the decode loop does real bit-level work).
-        let table = HuffmanTable::standard();
-        let encoded = huffman::encode(&granule.quantized, table);
+        // 1. Huffman decoding of the granule's payload.
         let mut ops = OpCounts::new();
-        let quantized = huffman::decode(&encoded, SAMPLES_PER_GRANULE, table, &mut ops)
-            .expect("self-generated stream is always decodable");
+        let quantized = huffman::decode(
+            &granule.payload,
+            SAMPLES_PER_GRANULE,
+            HuffmanTable::standard(),
+            &mut ops,
+        )
+        .expect("self-generated stream is always decodable");
         profiler.record("III_hufman_decode", &ops.divided(self.control_scale()));
 
         // 2. Scale-factor decoding (small, control dominated).
@@ -231,7 +233,9 @@ impl Decoder {
         // 3. Requantization.
         let granule_for_dequant = Granule {
             quantized,
-            ..granule.clone()
+            payload: Vec::new(),
+            scalefactors: granule.scalefactors.clone(),
+            ..*granule
         };
         let mut ops = OpCounts::new();
         let mut spectrum = match self.kernels.dequantize {

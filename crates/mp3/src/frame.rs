@@ -3,9 +3,10 @@
 //! The paper streams real MP3 files from a server over WLAN; the reproduction
 //! substitutes a deterministic pseudo-random granule generator with a
 //! realistic spectral envelope (most energy in the low subbands, sparse highs)
-//! so that every arithmetic kernel sees full-range data. Frames are
-//! Huffman-encoded into a byte stream and decoded back by the pipeline, so the
-//! `III_hufman_decode` stage does real work.
+//! so that every arithmetic kernel sees full-range data. Each granule is
+//! Huffman-encoded into a byte payload once, when it is generated, and the
+//! decoder decodes that payload, so the `III_hufman_decode` stage does real
+//! work.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,22 +70,12 @@ impl FrameGenerator {
             .map(|sb| self.rng.gen_range(0..4) + (sb as i32 / 8))
             .collect();
         Granule {
-            quantized,
             global_gain: self.rng.gen_range(-8..=8),
             scalefactors,
             mid_side: self.rng.gen_bool(0.5),
+            payload: huffman::encode(&quantized, HuffmanTable::standard()),
+            quantized,
         }
-    }
-
-    /// Huffman-encodes a granule's quantized spectrum into bytes (the payload
-    /// the decoder's Huffman stage consumes).
-    pub fn encode_granule(&self, granule: &Granule) -> Vec<u8> {
-        huffman::encode(&granule.quantized, self.table())
-    }
-
-    /// The Huffman table shared by generator and decoder.
-    pub fn table(&self) -> &'static HuffmanTable {
-        HuffmanTable::standard()
     }
 }
 
@@ -127,12 +118,16 @@ mod tests {
 
     #[test]
     fn encoded_granule_decodes_back() {
-        let mut gen = FrameGenerator::new(11);
-        let frame = gen.frame();
+        let frame = FrameGenerator::new(11).frame();
         let g = &frame.granules[1];
-        let bytes = gen.encode_granule(g);
         let mut ops = OpCounts::new();
-        let decoded = huffman::decode(&bytes, SAMPLES_PER_GRANULE, gen.table(), &mut ops).unwrap();
+        let decoded = huffman::decode(
+            &g.payload,
+            SAMPLES_PER_GRANULE,
+            HuffmanTable::standard(),
+            &mut ops,
+        )
+        .unwrap();
         assert_eq!(decoded, g.quantized);
     }
 

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::huffman::{self, HuffmanTable};
+
 /// Spectral samples per granule and channel (MPEG-1 Layer III).
 pub const SAMPLES_PER_GRANULE: usize = 576;
 /// Polyphase subbands.
@@ -24,11 +26,15 @@ pub fn frame_duration_s() -> f64 {
 
 /// Quantized spectral data and scaling side information for one granule of
 /// one channel, mirroring the fields the ISO decoder extracts from the
-/// bitstream.
+/// bitstream, together with the Huffman-coded payload they came from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Granule {
     /// Quantized (Huffman-decoded) spectral values, length 576.
     pub quantized: Vec<i32>,
+    /// `quantized` Huffman-coded with [`HuffmanTable::standard`]: the
+    /// bitstream payload the decoder's Huffman stage consumes. Encoded once,
+    /// when the granule is made.
+    pub payload: Vec<u8>,
     /// Global gain exponent (210-biased in the standard; stored unbiased here).
     pub global_gain: i32,
     /// Scalefactors per scalefactor band (simplified: one per subband).
@@ -40,8 +46,10 @@ pub struct Granule {
 impl Granule {
     /// A silent granule.
     pub fn silent() -> Self {
+        let quantized = vec![0; SAMPLES_PER_GRANULE];
         Granule {
-            quantized: vec![0; SAMPLES_PER_GRANULE],
+            payload: huffman::encode(&quantized, HuffmanTable::standard()),
+            quantized,
             global_gain: 0,
             scalefactors: vec![0; SUBBANDS],
             mid_side: false,

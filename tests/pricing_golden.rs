@@ -8,9 +8,10 @@
 //! job-channel transcript must hash to the recorded digest. Any change to
 //! candidate order, subset pricing, the variable order or the trace events a
 //! job emits shows up here as a diff. The deterministic work counters —
-//! explored nodes, basis lookups and how the lift resolved each computed
-//! basis — are pinned exactly, so a change that does more (or less) work for
-//! the same outcome shows up too.
+//! explored nodes, basis lookups, how the lift resolved each computed basis
+//! and how many CRT primes it needed, the candidate scan's index counters
+//! and the S-polynomial reductions — are pinned exactly, so a change that
+//! does more (or less) work for the same outcome shows up too.
 //!
 //! Everything runs inside one test function on purpose: `Var` handles render
 //! as interner indices, so the fixtures hold only when the process interns
@@ -134,6 +135,22 @@ struct Work {
     lift_success: usize,
     /// Cores computed exactly, past the lift.
     lift_bypass: usize,
+    /// Lifts that could not be certified and fell back to the exact engine.
+    lift_fallback: usize,
+    /// Reconstruction/verification rounds that forced another prime.
+    lift_retry: usize,
+    /// Prime images behind the successful lifts' CRT combines.
+    crt_primes: usize,
+    /// Library elements that survived the fingerprint index's pruning.
+    index_kept: usize,
+    /// Library elements the index pruned without touching them.
+    index_rejected: usize,
+    /// Library shards the index dismissed whole.
+    index_shards_skipped: usize,
+    /// Σ S-polynomial reductions over the batch's Buchberger cores (the
+    /// sample sum of the `groebner.reductions` histogram). The mapper's
+    /// linear side-relation ideals need none, so any reduction is new work.
+    reductions: u64,
 }
 
 fn check_batch(name: &str, jobs: &[MapJob], job_digest: u64, work: Work) {
@@ -155,6 +172,13 @@ fn check_batch(name: &str, jobs: &[MapJob], job_digest: u64, work: Work) {
             alpha_misses: stats.cache_alpha_misses(),
             lift_success: stats.lift_success(),
             lift_bypass: stats.lift_bypass(),
+            lift_fallback: stats.lift_fallback(),
+            lift_retry: stats.lift_retry(),
+            crt_primes: stats.crt_primes_used(),
+            index_kept: stats.index_kept(),
+            index_rejected: stats.index_rejected(),
+            index_shards_skipped: stats.index_shards_skipped(),
+            reductions: stats.metrics.histograms["groebner.reductions"].sum,
         };
         if workers == 1 {
             assert_eq!(measured, work, "{name} work counters at 1 worker");
@@ -169,6 +193,21 @@ fn check_batch(name: &str, jobs: &[MapJob], job_digest: u64, work: Work) {
                 measured.cache_hits + measured.cache_misses,
                 work.cache_hits + work.cache_misses,
                 "{name} basis lookups at {workers} workers"
+            );
+            // The candidate scan runs once per priced target, whichever
+            // worker prices it.
+            assert_eq!(
+                (
+                    measured.index_kept,
+                    measured.index_rejected,
+                    measured.index_shards_skipped
+                ),
+                (
+                    work.index_kept,
+                    work.index_rejected,
+                    work.index_shards_skipped
+                ),
+                "{name} index counters at {workers} workers"
             );
         }
         let trace = result.trace.expect("tracing was enabled");
@@ -197,6 +236,13 @@ fn pricing_outcomes_and_job_transcripts_match_the_fixtures() {
             alpha_misses: 6,
             lift_success: 4,
             lift_bypass: 2,
+            lift_fallback: 0,
+            lift_retry: 1,
+            crt_primes: 5,
+            index_kept: 30,
+            index_rejected: 212,
+            index_shards_skipped: 66,
+            reductions: 0,
         },
     );
 
@@ -214,6 +260,13 @@ fn pricing_outcomes_and_job_transcripts_match_the_fixtures() {
             alpha_misses: 12,
             lift_success: 8,
             lift_bypass: 4,
+            lift_fallback: 0,
+            lift_retry: 2,
+            crt_primes: 10,
+            index_kept: 30,
+            index_rejected: 762,
+            index_shards_skipped: 240,
+            reductions: 0,
         },
     );
 }
